@@ -1,14 +1,12 @@
-//! Reader/writer for the embedding-store artifact.
+//! Reader/writer for the embedding-store artifact, the one codec of that
+//! format: `EmbeddingStore::to_bytes` / `from_bytes` (crates/lookalike)
+//! delegate here, and the `nearest` RPC and the `fvae ann` harness read the
+//! same files as flat slices.
 //!
-//! `fvae embed` snapshots an `EmbeddingStore` (crates/lookalike) to disk:
-//! `[header][dim u64][n u64]` then `n` entries of `(user u64, dim × f32)` in
-//! ascending-user order. The `nearest` RPC and the `fvae ann` harness index
-//! those files without wanting the store's lock shards, so the byte layout
-//! is re-implemented here over flat slices. A format-lock test in
-//! `fvae-lookalike` pins the two implementations to identical bytes.
+//! Layout: `[header][dim u64][n u64]` then `n` entries of
+//! `(user u64, dim × f32)` in strictly increasing user order.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fvae_sparse::serial::{get_header, put_header, DecodeError};
+use fvae_sparse::serial::{put_header, DecodeError, Put, Reader, MAGIC, VERSION};
 
 /// A decoded embedding file: ascending unique user ids and their vectors in
 /// one row-major buffer.
@@ -22,63 +20,49 @@ pub struct EmbeddingFile {
     pub data: Vec<f32>,
 }
 
-/// Serializes embeddings in the `EmbeddingStore::to_bytes` layout. Panics if
-/// the invariants of [`EmbeddingFile`] are violated (this is a programmer
-/// error on the write path, not hostile input).
-pub fn write_embeddings(dim: usize, ids: &[u64], data: &[f32]) -> Bytes {
+/// Serializes embeddings. Panics if the invariants of [`EmbeddingFile`] are
+/// violated (this is a programmer error on the write path, not hostile
+/// input).
+pub fn write_embeddings(dim: usize, ids: &[u64], data: &[f32]) -> Box<[u8]> {
     assert!(dim > 0, "embedding dim must be positive");
     assert_eq!(data.len(), ids.len() * dim, "data length is not ids x dim");
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly increasing");
-    let mut buf = BytesMut::with_capacity(22 + ids.len() * (8 + dim * 4));
+    let mut buf = Vec::with_capacity(22 + ids.len() * (8 + dim * 4));
     put_header(&mut buf);
-    buf.put_u64_le(dim as u64);
-    buf.put_u64_le(ids.len() as u64);
-    for (row, &user) in ids.iter().enumerate() {
-        buf.put_u64_le(user);
-        for &v in &data[row * dim..(row + 1) * dim] {
-            buf.put_f32_le(v);
+    buf.put_u64(dim as u64);
+    buf.put_u64(ids.len() as u64);
+    for (&user, row) in ids.iter().zip(data.chunks_exact(dim)) {
+        buf.put_u64(user);
+        for &v in row {
+            buf.put_f32(v);
         }
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Parses an embedding file, enforcing the writer's invariants: positive
-/// dim, strictly increasing user ids, exact entry count. Validation order
-/// matches `EmbeddingStore::from_bytes` (dim before anything else) and no
-/// allocation is sized by unchecked input.
-pub fn read_embeddings(mut buf: impl Buf) -> Result<EmbeddingFile, DecodeError> {
-    get_header(&mut buf)?;
-    if buf.remaining() < 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let dim = buf.get_u64_le() as usize;
+/// dim, strictly increasing user ids, exact entry count. No allocation is
+/// sized by unchecked input.
+pub fn read_embeddings(bytes: impl AsRef<[u8]>) -> Result<EmbeddingFile, DecodeError> {
+    let mut r = Reader::new(bytes.as_ref());
+    r.header(MAGIC, VERSION)?;
+    let dim = r.u64()? as usize;
     if dim == 0 {
         return Err(DecodeError::Invalid("zero embedding dim".into()));
     }
-    let n = buf.get_u64_le() as usize;
-    let entry = 8 + dim * 4;
-    if buf.remaining() < n.saturating_mul(entry) {
-        return Err(DecodeError::Truncated);
-    }
+    let row_bytes = dim.checked_mul(4).and_then(|b| b.checked_add(8));
+    let n = r.count(row_bytes.ok_or(DecodeError::Truncated)?)?;
     let mut ids = Vec::with_capacity(n);
     let mut data = Vec::with_capacity(n * dim);
     for _ in 0..n {
-        let user = buf.get_u64_le();
-        if let Some(&prev) = ids.last() {
-            if user <= prev {
-                return Err(DecodeError::Invalid(format!(
-                    "user ids not strictly increasing at {user}"
-                )));
-            }
+        let user = r.u64()?;
+        if ids.last().is_some_and(|&prev| user <= prev) {
+            return Err(DecodeError::Invalid(format!("user ids not strictly increasing at {user}")));
         }
         ids.push(user);
-        for _ in 0..dim {
-            data.push(buf.get_f32_le());
-        }
+        data.extend(r.f32s(dim)?);
     }
-    if buf.remaining() > 0 {
-        return Err(DecodeError::Invalid(format!("{} trailing bytes", buf.remaining())));
-    }
+    r.finish()?;
     Ok(EmbeddingFile { dim, ids, data })
 }
 
@@ -97,38 +81,38 @@ mod tests {
 
     #[test]
     fn zero_dim_rejected_before_entries() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        assert!(matches!(read_embeddings(buf.freeze()), Err(DecodeError::Invalid(_))));
+        buf.put_u64(0);
+        buf.put_u64(0);
+        assert!(matches!(read_embeddings(buf), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn unsorted_and_duplicate_ids_rejected() {
-        let mut sorted = BytesMut::new();
+        let mut sorted = Vec::new();
         put_header(&mut sorted);
-        sorted.put_u64_le(1);
-        sorted.put_u64_le(2);
+        sorted.put_u64(1);
+        sorted.put_u64(2);
         for user in [7u64, 7] {
-            sorted.put_u64_le(user);
-            sorted.put_f32_le(0.0);
+            sorted.put_u64(user);
+            sorted.put_f32(0.0);
         }
-        assert!(matches!(read_embeddings(sorted.freeze()), Err(DecodeError::Invalid(_))));
+        assert!(matches!(read_embeddings(sorted), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn truncation_and_oversized_count_rejected() {
         let bytes = write_embeddings(4, &[1, 2], &[0.5; 8]);
         assert!(matches!(
-            read_embeddings(bytes.slice(0..bytes.len() - 1)),
+            read_embeddings(&bytes[..bytes.len() - 1]),
             Err(DecodeError::Truncated)
         ));
-        let mut hostile = BytesMut::new();
+        let mut hostile = Vec::new();
         put_header(&mut hostile);
-        hostile.put_u64_le(4);
-        hostile.put_u64_le(u64::MAX); // count far beyond the buffer
-        assert!(matches!(read_embeddings(hostile.freeze()), Err(DecodeError::Truncated)));
+        hostile.put_u64(4);
+        hostile.put_u64(u64::MAX); // count far beyond the buffer
+        assert!(matches!(read_embeddings(hostile), Err(DecodeError::Truncated)));
     }
 
     #[test]

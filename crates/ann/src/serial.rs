@@ -8,9 +8,8 @@
 //! codes within the codebook, cross-array length agreement) is re-validated,
 //! and failures surface as typed [`DecodeError`]s — never panics.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fvae_sparse::serial::{
-    get_f32_vec, get_header, get_u64_vec, put_f32_slice, put_header, put_u64_slice, DecodeError,
+    put_f32_slice, put_header, put_u64_slice, DecodeError, Put, Reader, MAGIC, VERSION,
 };
 
 use crate::flat::FlatIndex;
@@ -55,42 +54,18 @@ impl AnnIndex for AnyIndex {
     }
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
 fn invalid(msg: impl Into<String>) -> DecodeError {
     DecodeError::Invalid(msg.into())
 }
 
-/// Length-prefixed raw bytes (PQ code rows). The length is checked against
-/// the buffer before the allocation it sizes.
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u64_le(data.len() as u64);
-    buf.put_slice(data);
-}
-
-fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>, DecodeError> {
-    need(buf, 8)?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len)?;
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
-
 /// Serializes an index (header + kind + payload) into a standalone buffer.
-pub fn encode_index(index: &AnyIndex) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_index(index: &AnyIndex) -> Box<[u8]> {
+    let mut buf = Vec::new();
     put_header(&mut buf);
     match index {
         AnyIndex::Flat(flat) => {
             buf.put_u8(KIND_FLAT);
-            buf.put_u64_le(flat.dim() as u64);
+            buf.put_u64(flat.dim() as u64);
             put_u64_slice(&mut buf, flat.ids());
             put_f32_slice(&mut buf, flat.vectors());
         }
@@ -99,68 +74,68 @@ pub fn encode_index(index: &AnyIndex) -> Bytes {
             encode_ivf_payload(&mut buf, ivf);
         }
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
-fn encode_ivf_payload(buf: &mut BytesMut, ivf: &IvfIndex) {
+fn encode_ivf_payload(buf: &mut Vec<u8>, ivf: &IvfIndex) {
     let cfg = ivf.config();
-    buf.put_u64_le(ivf.dim as u64);
-    buf.put_u64_le(ivf.nlist as u64);
-    buf.put_u64_le(ivf.ks as u64);
-    buf.put_u64_le(cfg.nlist as u64);
-    buf.put_u64_le(cfg.pq_m as u64);
-    buf.put_u64_le(cfg.pq_ks as u64);
-    buf.put_u64_le(cfg.rerank as u64);
-    buf.put_u64_le(cfg.default_nprobe as u64);
-    buf.put_u64_le(cfg.train_iters as u64);
-    buf.put_u64_le(cfg.seed);
+    buf.put_u64(ivf.dim as u64);
+    buf.put_u64(ivf.nlist as u64);
+    buf.put_u64(ivf.ks as u64);
+    buf.put_u64(cfg.nlist as u64);
+    buf.put_u64(cfg.pq_m as u64);
+    buf.put_u64(cfg.pq_ks as u64);
+    buf.put_u64(cfg.rerank as u64);
+    buf.put_u64(cfg.default_nprobe as u64);
+    buf.put_u64(cfg.train_iters as u64);
+    buf.put_u64(cfg.seed);
     put_f32_slice(buf, &ivf.centroids);
     put_f32_slice(buf, &ivf.codebooks);
     for list in &ivf.lists {
         put_u64_slice(buf, &list.ids);
-        put_bytes(buf, &list.codes);
+        // PQ code rows: length-prefixed raw bytes.
+        buf.put_u64(list.codes.len() as u64);
+        buf.extend_from_slice(&list.codes);
         put_f32_slice(buf, &list.vectors);
     }
 }
 
 /// Deserializes an index written by [`encode_index`], re-validating every
 /// structural invariant of the in-memory form.
-pub fn decode_index(mut buf: impl Buf) -> Result<AnyIndex, DecodeError> {
-    get_header(&mut buf)?;
-    need(&buf, 1)?;
-    let kind = buf.get_u8();
-    let index = match kind {
-        KIND_FLAT => AnyIndex::Flat(decode_flat_payload(&mut buf)?),
-        KIND_IVF => AnyIndex::Ivf(decode_ivf_payload(&mut buf)?),
+pub fn decode_index(bytes: impl AsRef<[u8]>) -> Result<AnyIndex, DecodeError> {
+    let mut r = Reader::new(bytes.as_ref());
+    r.header(MAGIC, VERSION)?;
+    let index = match r.u8()? {
+        KIND_FLAT => AnyIndex::Flat(decode_flat_payload(&mut r)?),
+        KIND_IVF => AnyIndex::Ivf(decode_ivf_payload(&mut r)?),
         other => return Err(invalid(format!("unknown index kind {other}"))),
     };
-    if buf.remaining() > 0 {
-        return Err(invalid(format!("{} trailing bytes", buf.remaining())));
-    }
+    r.finish()?;
     Ok(index)
 }
 
-fn decode_flat_payload(buf: &mut impl Buf) -> Result<FlatIndex, DecodeError> {
-    need(buf, 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let ids = get_u64_vec(buf)?;
-    let data = get_f32_vec(buf)?;
+fn decode_flat_payload(r: &mut Reader<'_>) -> Result<FlatIndex, DecodeError> {
+    let dim = r.u64()? as usize;
+    let ids = r.u64_vec()?;
+    let data = r.f32_vec()?;
     FlatIndex::from_canonical_parts(dim, ids, data).map_err(invalid)
 }
 
-fn decode_ivf_payload(buf: &mut impl Buf) -> Result<IvfIndex, DecodeError> {
-    need(buf, 10 * 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let nlist = buf.get_u64_le() as usize;
-    let ks = buf.get_u64_le() as usize;
+/// Smallest encoding of one inverted list: three empty length prefixes.
+const MIN_LIST_BYTES: usize = 3 * 8;
+
+fn decode_ivf_payload(r: &mut Reader<'_>) -> Result<IvfIndex, DecodeError> {
+    let dim = r.u64()? as usize;
+    let nlist = r.u64()? as usize;
+    let ks = r.u64()? as usize;
     let config = IvfConfig {
-        nlist: buf.get_u64_le() as usize,
-        pq_m: buf.get_u64_le() as usize,
-        pq_ks: buf.get_u64_le() as usize,
-        rerank: buf.get_u64_le() as usize,
-        default_nprobe: buf.get_u64_le() as usize,
-        train_iters: buf.get_u64_le() as usize,
-        seed: buf.get_u64_le(),
+        nlist: r.u64()? as usize,
+        pq_m: r.u64()? as usize,
+        pq_ks: r.u64()? as usize,
+        rerank: r.u64()? as usize,
+        default_nprobe: r.u64()? as usize,
+        train_iters: r.u64()? as usize,
+        seed: r.u64()?,
     };
     if dim == 0 {
         return Err(invalid("zero dim"));
@@ -175,33 +150,33 @@ fn decode_ivf_payload(buf: &mut impl Buf) -> Result<IvfIndex, DecodeError> {
         return Err(invalid(format!("effective nlist {nlist} out of range")));
     }
     let sub = dim / config.pq_m;
-    let centroids = get_f32_vec(buf)?;
-    if centroids.len() != nlist * dim {
+    let centroids = r.f32_vec()?;
+    if Some(centroids.len()) != nlist.checked_mul(dim) {
         return Err(invalid("centroid length is not nlist x dim"));
     }
-    let codebooks = get_f32_vec(buf)?;
-    if codebooks.len() != config.pq_m * ks * sub {
+    let codebooks = r.f32_vec()?;
+    if Some(codebooks.len()) != config.pq_m.checked_mul(ks).and_then(|x| x.checked_mul(sub)) {
         return Err(invalid("codebook length is not pq_m x ks x subdim"));
     }
+    r.fits(nlist, MIN_LIST_BYTES)?;
     let mut lists = Vec::with_capacity(nlist);
     let mut n = 0usize;
     for _ in 0..nlist {
-        let ids = get_u64_vec(buf)?;
-        let codes = get_bytes(buf)?;
-        let vectors = get_f32_vec(buf)?;
-        if codes.len() != ids.len() * config.pq_m {
+        let ids = r.u64_vec()?;
+        let n_codes = r.count(1)?;
+        let codes = r.bytes(n_codes)?.to_vec();
+        let vectors = r.f32_vec()?;
+        if Some(codes.len()) != ids.len().checked_mul(config.pq_m) {
             return Err(invalid("code row count disagrees with list ids"));
         }
-        if vectors.len() != ids.len() * dim {
+        if Some(vectors.len()) != ids.len().checked_mul(dim) {
             return Err(invalid("vector row count disagrees with list ids"));
         }
         if codes.iter().any(|&c| c as usize >= ks) {
             return Err(invalid("PQ code outside the codebook"));
         }
-        for w in ids.windows(2) {
-            if w[0] >= w[1] {
-                return Err(invalid("list ids not strictly increasing"));
-            }
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(invalid("list ids not strictly increasing"));
         }
         n += ids.len();
         lists.push(crate::ivf::InvertedList { ids, codes, vectors });
@@ -258,7 +233,7 @@ mod tests {
         // Every strict prefix must fail with a typed error (stride keeps the
         // test fast; hostile fuzzing lives in the proptest suite).
         for cut in (0..bytes.len()).step_by(97) {
-            assert!(decode_index(bytes.slice(0..cut)).is_err(), "prefix {cut} accepted");
+            assert!(decode_index(&bytes[..cut]).is_err(), "prefix {cut} accepted");
         }
     }
 
@@ -275,10 +250,10 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
         buf.put_u8(99);
-        assert!(matches!(decode_index(buf.freeze()), Err(DecodeError::Invalid(_))));
+        assert!(matches!(decode_index(buf), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
@@ -314,12 +289,12 @@ mod tests {
     fn hostile_list_count_rejected_before_allocating() {
         // A header that declares 2^60 ids must fail on the length check, not
         // attempt the allocation.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
         buf.put_u8(KIND_FLAT);
-        buf.put_u64_le(4); // dim
-        buf.put_u64_le(1u64 << 60); // id count: absurd
-        buf.put_u64_le(0);
-        assert_eq!(decode_index(buf.freeze()), Err(DecodeError::Truncated));
+        buf.put_u64(4); // dim
+        buf.put_u64(1u64 << 60); // id count: absurd
+        buf.put_u64(0);
+        assert_eq!(decode_index(buf), Err(DecodeError::Truncated));
     }
 }

@@ -62,7 +62,7 @@ proptest! {
         let bytes = encode_index(&index);
         let cut = ((bytes.len() as f64) * cut_frac) as usize; // < bytes.len()
         prop_assert!(
-            decode_index(bytes.slice(0..cut)).is_err(),
+            decode_index(&bytes[..cut]).is_err(),
             "strict prefix of {} bytes decoded", cut
         );
     }
@@ -150,6 +150,6 @@ proptest! {
         prop_assert_eq!(back.ids, ids);
         prop_assert_eq!(back.data, data);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(read_embeddings(bytes.slice(0..cut)).is_err());
+        prop_assert!(read_embeddings(&bytes[..cut]).is_err());
     }
 }

@@ -34,10 +34,9 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fvae_nn::serialize::{get_adam_state, put_adam_state};
+use fvae_nn::serialize::{get_adam_state, put_adam_state, MIN_ADAM_STATE_BYTES};
 use fvae_nn::AdamState;
-use fvae_sparse::serial::{crc32, get_u64_vec, put_u64_slice, DecodeError};
+use fvae_sparse::serial::{crc32, put_u64_slice, DecodeError, Put, Reader};
 
 use crate::model::Fvae;
 use crate::train::{EpochStats, OptStates};
@@ -299,33 +298,25 @@ impl ResumePoint {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn put_opt(buf: &mut BytesMut, opt: &OptStates) {
-    buf.put_u64_le(opt.bags.len() as u64);
+fn put_opt(buf: &mut Vec<u8>, opt: &OptStates) {
+    buf.put_u64(opt.bags.len() as u64);
     for s in &opt.bags {
         put_adam_state(buf, s);
     }
     put_adam_state(buf, &opt.enc_bias);
-    buf.put_u64_le(opt.enc_extra.len() as u64);
+    buf.put_u64(opt.enc_extra.len() as u64);
     for (w, b) in &opt.enc_extra {
         put_adam_state(buf, w);
         put_adam_state(buf, b);
     }
     put_adam_state(buf, &opt.enc_head.0);
     put_adam_state(buf, &opt.enc_head.1);
-    buf.put_u64_le(opt.trunk.len() as u64);
+    buf.put_u64(opt.trunk.len() as u64);
     for (w, b) in &opt.trunk {
         put_adam_state(buf, w);
         put_adam_state(buf, b);
     }
-    buf.put_u64_le(opt.heads_w.len() as u64);
+    buf.put_u64(opt.heads_w.len() as u64);
     for s in &opt.heads_w {
         put_adam_state(buf, s);
     }
@@ -334,168 +325,131 @@ fn put_opt(buf: &mut BytesMut, opt: &OptStates) {
     }
 }
 
-fn get_opt(buf: &mut impl Buf) -> Result<OptSnapshot, DecodeError> {
-    need(buf, 8)?;
-    let n_bags = buf.get_u64_le() as usize;
-    let mut bags = Vec::with_capacity(n_bags);
-    for _ in 0..n_bags {
-        bags.push(get_adam_state(buf)?);
-    }
-    let enc_bias = get_adam_state(buf)?;
-    need(buf, 8)?;
-    let n_extra = buf.get_u64_le() as usize;
-    let mut enc_extra = Vec::with_capacity(n_extra);
-    for _ in 0..n_extra {
-        enc_extra.push((get_adam_state(buf)?, get_adam_state(buf)?));
-    }
-    let enc_head = (get_adam_state(buf)?, get_adam_state(buf)?);
-    need(buf, 8)?;
-    let n_trunk = buf.get_u64_le() as usize;
-    let mut trunk = Vec::with_capacity(n_trunk);
-    for _ in 0..n_trunk {
-        trunk.push((get_adam_state(buf)?, get_adam_state(buf)?));
-    }
-    need(buf, 8)?;
-    let n_heads = buf.get_u64_le() as usize;
-    let mut heads_w = Vec::with_capacity(n_heads);
-    for _ in 0..n_heads {
-        heads_w.push(get_adam_state(buf)?);
-    }
-    let mut heads_b = Vec::with_capacity(n_heads);
-    for _ in 0..n_heads {
-        heads_b.push(get_adam_state(buf)?);
-    }
+/// Reads a count of Adam states (`per_item` states each) followed by the
+/// states themselves.
+fn get_adam_states(r: &mut Reader<'_>, per_item: usize) -> Result<Vec<AdamState>, DecodeError> {
+    let n = r.count(per_item * MIN_ADAM_STATE_BYTES)?;
+    (0..n * per_item).map(|_| get_adam_state(r)).collect()
+}
+
+fn pairs(states: Vec<AdamState>) -> Vec<(AdamState, AdamState)> {
+    let mut it = states.into_iter();
+    std::iter::from_fn(|| Some((it.next()?, it.next()?))).collect()
+}
+
+fn get_opt(r: &mut Reader<'_>) -> Result<OptSnapshot, DecodeError> {
+    let bags = get_adam_states(r, 1)?;
+    let enc_bias = get_adam_state(r)?;
+    let enc_extra = pairs(get_adam_states(r, 2)?);
+    let enc_head = (get_adam_state(r)?, get_adam_state(r)?);
+    let trunk = pairs(get_adam_states(r, 2)?);
+    // `heads_w` then `heads_b`, one count for both.
+    let mut heads_w = get_adam_states(r, 2)?;
+    let heads_b = heads_w.split_off(heads_w.len() / 2);
     Ok(OptSnapshot { bags, enc_bias, enc_extra, enc_head, trunk, heads_w, heads_b })
 }
 
-fn put_progress(buf: &mut BytesMut, p: &TrainProgress) {
-    buf.put_u64_le(p.epoch);
-    buf.put_u64_le(p.step_in_epoch);
-    buf.put_u64_le(p.global_step);
-    buf.put_f64_le(p.recon_sum);
-    buf.put_f64_le(p.kl_sum);
-    buf.put_f64_le(p.cand_sum);
-    buf.put_f32_le(p.beta);
+fn put_progress(buf: &mut Vec<u8>, p: &TrainProgress) {
+    buf.put_u64(p.epoch);
+    buf.put_u64(p.step_in_epoch);
+    buf.put_u64(p.global_step);
+    buf.put_f64(p.recon_sum);
+    buf.put_f64(p.kl_sum);
+    buf.put_f64(p.cand_sum);
+    buf.put_f32(p.beta);
     put_u64_slice(buf, &p.epoch_order);
 }
 
-fn get_progress(buf: &mut impl Buf) -> Result<TrainProgress, DecodeError> {
-    need(buf, 8 * 3 + 8 * 3 + 4)?;
-    let epoch = buf.get_u64_le();
-    let step_in_epoch = buf.get_u64_le();
-    let global_step = buf.get_u64_le();
-    let recon_sum = buf.get_f64_le();
-    let kl_sum = buf.get_f64_le();
-    let cand_sum = buf.get_f64_le();
-    let beta = buf.get_f32_le();
-    let epoch_order = get_u64_vec(buf)?;
+fn get_progress(r: &mut Reader<'_>) -> Result<TrainProgress, DecodeError> {
     Ok(TrainProgress {
-        epoch,
-        step_in_epoch,
-        global_step,
-        epoch_order,
-        recon_sum,
-        kl_sum,
-        cand_sum,
-        beta,
+        epoch: r.u64()?,
+        step_in_epoch: r.u64()?,
+        global_step: r.u64()?,
+        recon_sum: r.f64()?,
+        kl_sum: r.f64()?,
+        cand_sum: r.f64()?,
+        beta: r.f32()?,
+        epoch_order: r.u64_vec()?,
     })
 }
 
-fn put_epoch_stats(buf: &mut BytesMut, s: &EpochStats) {
-    buf.put_f32_le(s.recon);
-    buf.put_f32_le(s.kl);
-    buf.put_f32_le(s.beta);
-    buf.put_u64_le(s.users as u64);
-    buf.put_f64_le(s.mean_candidates);
-    buf.put_u64_le(s.steps as u64);
-    buf.put_f64_le(s.wall_secs);
-    buf.put_f64_le(s.users_per_sec);
+fn put_epoch_stats(buf: &mut Vec<u8>, s: &EpochStats) {
+    buf.put_f32(s.recon);
+    buf.put_f32(s.kl);
+    buf.put_f32(s.beta);
+    buf.put_u64(s.users as u64);
+    buf.put_f64(s.mean_candidates);
+    buf.put_u64(s.steps as u64);
+    buf.put_f64(s.wall_secs);
+    buf.put_f64(s.users_per_sec);
 }
 
-fn get_epoch_stats(buf: &mut impl Buf) -> Result<EpochStats, DecodeError> {
-    need(buf, 4 * 3 + 8 * 5)?;
+/// Encoded size of one [`EpochStats`].
+const EPOCH_STATS_BYTES: usize = 4 * 3 + 8 * 5;
+
+fn get_epoch_stats(r: &mut Reader<'_>) -> Result<EpochStats, DecodeError> {
     Ok(EpochStats {
-        recon: buf.get_f32_le(),
-        kl: buf.get_f32_le(),
-        beta: buf.get_f32_le(),
-        users: buf.get_u64_le() as usize,
-        mean_candidates: buf.get_f64_le(),
-        steps: buf.get_u64_le() as usize,
-        wall_secs: buf.get_f64_le(),
-        users_per_sec: buf.get_f64_le(),
+        recon: r.f32()?,
+        kl: r.f32()?,
+        beta: r.f32()?,
+        users: r.u64()? as usize,
+        mean_candidates: r.f64()?,
+        steps: r.u64()? as usize,
+        wall_secs: r.f64()?,
+        users_per_sec: r.f64()?,
     })
 }
 
-fn put_early_stop(buf: &mut BytesMut, es: &EarlyStopState) {
+fn put_early_stop(buf: &mut Vec<u8>, es: &EarlyStopState) {
     match &es.best {
         Some((elbo, bytes, epoch)) => {
             buf.put_u8(1);
-            buf.put_f32_le(*elbo);
-            buf.put_u64_le(*epoch);
-            buf.put_u64_le(bytes.len() as u64);
-            buf.put_slice(bytes);
+            buf.put_f32(*elbo);
+            buf.put_u64(*epoch);
+            buf.put_u64(bytes.len() as u64);
+            buf.extend_from_slice(bytes);
         }
         None => buf.put_u8(0),
     }
-    buf.put_u64_le(es.strikes);
+    buf.put_u64(es.strikes);
     buf.put_u8(es.stopped_early as u8);
-    buf.put_u64_le(es.epochs.len() as u64);
+    buf.put_u64(es.epochs.len() as u64);
     for s in &es.epochs {
         put_epoch_stats(buf, s);
     }
-    buf.put_u64_le(es.validations.len() as u64);
+    buf.put_u64(es.validations.len() as u64);
     for &(epoch, elbo) in &es.validations {
-        buf.put_u64_le(epoch);
-        buf.put_f32_le(elbo);
+        buf.put_u64(epoch);
+        buf.put_f32(elbo);
     }
 }
 
-fn get_early_stop(buf: &mut impl Buf) -> Result<EarlyStopState, DecodeError> {
-    need(buf, 1)?;
-    let best = if buf.get_u8() != 0 {
-        need(buf, 4 + 8 + 8)?;
-        let elbo = buf.get_f32_le();
-        let epoch = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        need(buf, len)?;
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        Some((elbo, bytes, epoch))
+fn get_early_stop(r: &mut Reader<'_>) -> Result<EarlyStopState, DecodeError> {
+    let best = if r.u8()? != 0 {
+        let elbo = r.f32()?;
+        let epoch = r.u64()?;
+        let len = r.count(1)?;
+        Some((elbo, r.bytes(len)?.to_vec(), epoch))
     } else {
         None
     };
-    need(buf, 17)?;
-    let strikes = buf.get_u64_le();
-    let stopped_early = buf.get_u8() != 0;
-    let n_epochs = buf.get_u64_le() as usize;
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
-        epochs.push(get_epoch_stats(buf)?);
-    }
-    need(buf, 8)?;
-    let n_val = buf.get_u64_le() as usize;
-    need(buf, n_val * 12)?;
-    let mut validations = Vec::with_capacity(n_val);
-    for _ in 0..n_val {
-        let epoch = buf.get_u64_le();
-        validations.push((epoch, buf.get_f32_le()));
-    }
+    let strikes = r.u64()?;
+    let stopped_early = r.u8()? != 0;
+    let n_epochs = r.count(EPOCH_STATS_BYTES)?;
+    let epochs = (0..n_epochs).map(|_| get_epoch_stats(r)).collect::<Result<_, _>>()?;
+    let n_val = r.count(8 + 4)?;
+    let validations = (0..n_val).map(|_| Ok((r.u64()?, r.f32()?))).collect::<Result<_, _>>()?;
     Ok(EarlyStopState { best, strikes, stopped_early, epochs, validations })
 }
 
-fn put_stream(buf: &mut BytesMut, sp: &StreamProgress) {
-    buf.put_u64_le(sp.log_offset);
-    buf.put_u64_le(sp.events);
-    buf.put_u64_le(sp.batches);
+fn put_stream(buf: &mut Vec<u8>, sp: &StreamProgress) {
+    buf.put_u64(sp.log_offset);
+    buf.put_u64(sp.events);
+    buf.put_u64(sp.batches);
 }
 
-fn get_stream(buf: &mut impl Buf) -> Result<StreamProgress, DecodeError> {
-    need(buf, 24)?;
-    Ok(StreamProgress {
-        log_offset: buf.get_u64_le(),
-        events: buf.get_u64_le(),
-        batches: buf.get_u64_le(),
-    })
+fn get_stream(r: &mut Reader<'_>) -> Result<StreamProgress, DecodeError> {
+    Ok(StreamProgress { log_offset: r.u64()?, events: r.u64()?, batches: r.u64()? })
 }
 
 /// Encodes a complete snapshot (framing + section table + CRC).
@@ -505,11 +459,14 @@ pub(crate) fn encode_snapshot(
     rng_state: [u64; 4],
     progress: &TrainProgress,
     early_stop: Option<&EarlyStopState>,
-) -> Bytes {
+) -> Box<[u8]> {
     encode_snapshot_with_stream(model, opt, rng_state, progress, early_stop, None)
 }
 
 /// [`encode_snapshot`] plus the streaming trainer's `SEC_STREAM` section.
+///
+/// Sections are written straight into the output behind a zeroed section
+/// table that each section fills in once its length is known.
 pub(crate) fn encode_snapshot_with_stream(
     model: &Fvae,
     opt: &OptStates,
@@ -517,50 +474,60 @@ pub(crate) fn encode_snapshot_with_stream(
     progress: &TrainProgress,
     early_stop: Option<&EarlyStopState>,
     stream: Option<StreamProgress>,
-) -> Bytes {
-    let model_bytes = model.to_bytes();
-    let mut optim = BytesMut::new();
-    put_opt(&mut optim, opt);
-    let mut rng_buf = BytesMut::with_capacity(32);
-    for w in rng_state {
-        rng_buf.put_u64_le(w);
+) -> Box<[u8]> {
+    fn section(buf: &mut Vec<u8>, i: usize, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = buf.len();
+        write(buf);
+        let len = (buf.len() - start) as u64;
+        let at = 7 + i * 9;
+        buf[at] = tag;
+        buf[at + 1..at + 9].copy_from_slice(&len.to_le_bytes());
     }
-    let mut prog = BytesMut::new();
-    put_progress(&mut prog, progress);
-    let mut es_buf = BytesMut::new();
+    let n_sections = 4 + usize::from(early_stop.is_some()) + usize::from(stream.is_some());
+    let mut buf = Vec::new();
+    buf.put_u32(SNAPSHOT_MAGIC);
+    buf.put_u16(SNAPSHOT_VERSION);
+    buf.put_u8(n_sections as u8);
+    buf.resize(7 + n_sections * 9, 0);
+    section(&mut buf, 0, SEC_MODEL, |b| model.write_to(b));
+    section(&mut buf, 1, SEC_OPTIM, |b| put_opt(b, opt));
+    section(&mut buf, 2, SEC_RNG, |b| rng_state.iter().for_each(|&w| b.put_u64(w)));
+    section(&mut buf, 3, SEC_PROGRESS, |b| put_progress(b, progress));
     if let Some(es) = early_stop {
-        put_early_stop(&mut es_buf, es);
+        section(&mut buf, 4, SEC_EARLY_STOP, |b| put_early_stop(b, es));
     }
-    let mut sections: Vec<(u8, &[u8])> = vec![
-        (SEC_MODEL, model_bytes.as_ref()),
-        (SEC_OPTIM, optim.as_ref()),
-        (SEC_RNG, rng_buf.as_ref()),
-        (SEC_PROGRESS, prog.as_ref()),
-    ];
-    if early_stop.is_some() {
-        sections.push((SEC_EARLY_STOP, es_buf.as_ref()));
-    }
-    let mut stream_buf = BytesMut::new();
     if let Some(sp) = &stream {
-        put_stream(&mut stream_buf, sp);
-        sections.push((SEC_STREAM, stream_buf.as_ref()));
-    }
-
-    let payload: usize = sections.iter().map(|(_, p)| p.len()).sum();
-    let mut buf = Vec::with_capacity(7 + sections.len() * 9 + payload + 4);
-    buf.put_u32_le(SNAPSHOT_MAGIC);
-    buf.put_u16_le(SNAPSHOT_VERSION);
-    buf.put_u8(sections.len() as u8);
-    for (tag, p) in &sections {
-        buf.put_u8(*tag);
-        buf.put_u64_le(p.len() as u64);
-    }
-    for (_, p) in &sections {
-        buf.put_slice(p);
+        section(&mut buf, n_sections - 1, SEC_STREAM, |b| put_stream(b, sp));
     }
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    Bytes::from(buf)
+    buf.put_u32(crc);
+    buf.into_boxed_slice()
+}
+
+/// The section table of a snapshot body (the file minus its CRC):
+/// `(tag, payload offset, payload length)` per section.
+fn section_table(body: &[u8]) -> Result<Vec<(u8, usize, usize)>, DecodeError> {
+    let mut r = Reader::new(body);
+    r.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let n_sections = r.u8()? as usize;
+    let mut sections = Vec::with_capacity(r.fits(n_sections, 9)?);
+    let mut offset = 7 + n_sections * 9;
+    for _ in 0..n_sections {
+        let tag = r.u8()?;
+        let len = r.u64()? as usize;
+        sections.push((tag, offset, len));
+        offset = offset.checked_add(len).ok_or(DecodeError::Truncated)?;
+    }
+    if offset > body.len() {
+        return Err(DecodeError::Truncated);
+    }
+    if offset != body.len() {
+        return Err(DecodeError::Invalid(format!(
+            "section table covers {offset} bytes but payload has {}",
+            body.len()
+        )));
+    }
+    Ok(sections)
 }
 
 /// Decodes a snapshot, verifying framing and checksum.
@@ -572,75 +539,26 @@ pub fn decode_snapshot(data: &[u8]) -> Result<TrainSnapshot, SnapshotError> {
     if data.len() < 7 + 4 {
         return Err(DecodeError::Truncated.into());
     }
-    let mut head = data;
-    if head.get_u32_le() != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic.into());
-    }
-    let version = head.get_u16_le();
-    if version != SNAPSHOT_VERSION {
-        return Err(DecodeError::BadVersion(version).into());
-    }
-    let body = &data[..data.len() - 4];
-    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
+    Reader::new(data).header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let (body, tail) = data.split_at(data.len() - 4);
+    let stored = Reader::new(tail).u32()?;
     let computed = crc32(body);
     if stored != computed {
         return Err(SnapshotError::CrcMismatch { stored, computed });
     }
 
-    let n_sections = data[6] as usize;
-    let table_end = 7 + n_sections * 9;
-    if body.len() < table_end {
-        return Err(DecodeError::Truncated.into());
-    }
-    let mut table = &data[7..table_end];
-    let mut sections = Vec::with_capacity(n_sections);
-    let mut offset = table_end;
-    for _ in 0..n_sections {
-        let tag = table.get_u8();
-        let len = table.get_u64_le() as usize;
-        let end = offset.checked_add(len).ok_or(DecodeError::Truncated)?;
-        if end > body.len() {
-            return Err(DecodeError::Truncated.into());
-        }
-        sections.push((tag, &body[offset..end]));
-        offset = end;
-    }
-    if offset != body.len() {
-        return Err(DecodeError::Invalid(format!(
-            "section table covers {offset} bytes but payload has {}",
-            body.len()
-        ))
-        .into());
-    }
-
-    let find = |tag: u8| -> Result<&[u8], SnapshotError> {
-        sections
-            .iter()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, p)| p)
-            .ok_or(SnapshotError::MissingSection(tag))
+    let sections = section_table(body)?;
+    let find = |tag: u8| {
+        sections.iter().find(|s| s.0 == tag).map(|&(_, at, len)| &body[at..at + len])
     };
-    let model = Fvae::from_bytes(find(SEC_MODEL)?).map_err(SnapshotError::Decode)?;
-    let opt = get_opt(&mut find(SEC_OPTIM)?)?;
-    let mut rng_buf = find(SEC_RNG)?;
-    need(&rng_buf, 32)?;
-    let rng_state = [
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-    ];
-    let progress = get_progress(&mut find(SEC_PROGRESS)?)?;
-    let early_stop = match find(SEC_EARLY_STOP) {
-        Ok(mut p) => Some(get_early_stop(&mut p)?),
-        Err(SnapshotError::MissingSection(_)) => None,
-        Err(e) => return Err(e),
-    };
-    let stream = match find(SEC_STREAM) {
-        Ok(mut p) => Some(get_stream(&mut p)?),
-        Err(SnapshotError::MissingSection(_)) => None,
-        Err(e) => return Err(e),
-    };
+    let required = |tag: u8| find(tag).ok_or(SnapshotError::MissingSection(tag));
+    let model = Fvae::from_bytes(required(SEC_MODEL)?)?;
+    let opt = get_opt(&mut Reader::new(required(SEC_OPTIM)?))?;
+    let mut rng = Reader::new(required(SEC_RNG)?);
+    let rng_state = [rng.u64()?, rng.u64()?, rng.u64()?, rng.u64()?];
+    let progress = get_progress(&mut Reader::new(required(SEC_PROGRESS)?))?;
+    let early_stop = find(SEC_EARLY_STOP).map(|p| get_early_stop(&mut Reader::new(p))).transpose()?;
+    let stream = find(SEC_STREAM).map(|p| get_stream(&mut Reader::new(p))).transpose()?;
     Ok(TrainSnapshot { model, opt, rng_state, progress, early_stop, stream })
 }
 
@@ -663,23 +581,16 @@ pub fn normalized_snapshot_bytes(data: &[u8]) -> Result<Vec<u8>, SnapshotError> 
         e.wall_secs = 0.0;
         e.users_per_sec = 0.0;
     }
-    let n_sections = data[6] as usize;
-    let table_end = 7 + n_sections * 9;
-    let mut table = &data[7..table_end];
-    let mut offset = table_end;
+    let body_end = data.len() - 4;
     let mut out = data.to_vec();
-    for _ in 0..n_sections {
-        let tag = table.get_u8();
-        let len = table.get_u64_le() as usize;
+    for (tag, at, len) in section_table(&data[..body_end])? {
         if tag == SEC_EARLY_STOP {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::with_capacity(len);
             put_early_stop(&mut buf, &es);
             assert_eq!(buf.len(), len, "normalization must not change the section length");
-            out[offset..offset + len].copy_from_slice(buf.as_ref());
+            out[at..at + len].copy_from_slice(&buf);
         }
-        offset += len;
     }
-    let body_end = out.len() - 4;
     let crc = crc32(&out[..body_end]);
     out[body_end..].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
@@ -995,18 +906,18 @@ mod tests {
     #[test]
     fn progress_codec_roundtrips() {
         let p = sample_progress();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_progress(&mut buf, &p);
-        let got = get_progress(&mut buf.freeze()).expect("decodes");
+        let got = get_progress(&mut Reader::new(&buf)).expect("decodes");
         assert_eq!(got, p);
     }
 
     #[test]
     fn early_stop_codec_roundtrips() {
         let es = sample_early_stop();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_early_stop(&mut buf, &es);
-        let got = get_early_stop(&mut buf.freeze()).expect("decodes");
+        let got = get_early_stop(&mut Reader::new(&buf)).expect("decodes");
         assert_eq!(got.best, es.best);
         assert_eq!(got.strikes, es.strikes);
         assert_eq!(got.stopped_early, es.stopped_early);
@@ -1019,9 +930,9 @@ mod tests {
     fn opt_codec_roundtrips_every_moment_buffer() {
         let ds = tiny_ds();
         let (_, opt) = trained(&ds);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_opt(&mut buf, &opt);
-        let got = get_opt(&mut buf.freeze()).expect("decodes");
+        let got = get_opt(&mut Reader::new(&buf)).expect("decodes");
         let eq = |a: &AdamState, b: &AdamState| {
             let (am, av, at) = a.parts();
             let (bm, bv, bt) = b.parts();
@@ -1161,16 +1072,16 @@ mod tests {
         let payload_end = data.len() - 4;
         let extra = b"from-the-future";
         let mut out: Vec<u8> = Vec::new();
-        out.put_u32_le(SNAPSHOT_MAGIC);
-        out.put_u16_le(SNAPSHOT_VERSION);
+        out.put_u32(SNAPSHOT_MAGIC);
+        out.put_u16(SNAPSHOT_VERSION);
         out.put_u8((n + 1) as u8);
-        out.put_slice(&data[7..table_end]); // existing table entries
+        out.extend_from_slice(&data[7..table_end]); // existing table entries
         out.put_u8(250); // unknown tag
-        out.put_u64_le(extra.len() as u64);
-        out.put_slice(&data[table_end..payload_end]);
-        out.put_slice(extra);
+        out.put_u64(extra.len() as u64);
+        out.extend_from_slice(&data[table_end..payload_end]);
+        out.extend_from_slice(extra);
         let crc = crc32(&out);
-        out.put_u32_le(crc);
+        out.put_u32(crc);
         let snap = decode_snapshot(&out).expect("unknown sections must be skipped");
         assert_eq!(snap.rng_state, [3, 1, 4, 1]);
         assert_eq!(snap.model.to_bytes().as_ref(), model.to_bytes().as_ref());
@@ -1317,9 +1228,9 @@ mod tests {
                     cand_sum: cand,
                     beta,
                 };
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 put_progress(&mut buf, &p);
-                let got = get_progress(&mut buf.freeze()).expect("decodes");
+                let got = get_progress(&mut Reader::new(&buf)).expect("decodes");
                 prop_assert_eq!(got, p);
             }
 

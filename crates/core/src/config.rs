@@ -170,6 +170,9 @@ impl FvaeConfig {
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
         }
+        if self.init_std.is_nan() || self.init_std < 0.0 {
+            return Err("init_std must be non-negative".into());
+        }
         Ok(())
     }
 }

@@ -6,14 +6,11 @@
 //! produces bit-identical embeddings and can resume training (dynamic
 //! tables keep growing; optimizer moments restart).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fvae_nn::serialize::{
     get_dense, get_embedding_bag, get_mlp, get_softmax_head, put_dense, put_embedding_bag,
-    put_mlp, put_softmax_head,
+    put_mlp, put_softmax_head, MIN_EMBEDDING_BAG_BYTES, MIN_SOFTMAX_HEAD_BYTES,
 };
-use fvae_sparse::serial::{
-    get_f32_vec, get_header, put_f32_slice, put_header, DecodeError,
-};
+use fvae_sparse::serial::{put_f32_slice, put_header, DecodeError, Put, Reader, MAGIC, VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,78 +37,66 @@ fn strategy_from_tag(tag: u8) -> Result<SamplingStrategy, DecodeError> {
     })
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn put_config(buf: &mut BytesMut, cfg: &FvaeConfig) {
-    buf.put_u64_le(cfg.n_fields as u64);
-    buf.put_u64_le(cfg.latent_dim as u64);
-    buf.put_u64_le(cfg.enc_hidden as u64);
-    buf.put_u64_le(cfg.enc_extra_hidden.len() as u64);
+fn put_config(buf: &mut Vec<u8>, cfg: &FvaeConfig) {
+    buf.put_u64(cfg.n_fields as u64);
+    buf.put_u64(cfg.latent_dim as u64);
+    buf.put_u64(cfg.enc_hidden as u64);
+    buf.put_u64(cfg.enc_extra_hidden.len() as u64);
     for &d in &cfg.enc_extra_hidden {
-        buf.put_u64_le(d as u64);
+        buf.put_u64(d as u64);
     }
-    buf.put_u64_le(cfg.dec_hidden.len() as u64);
+    buf.put_u64(cfg.dec_hidden.len() as u64);
     for &d in &cfg.dec_hidden {
-        buf.put_u64_le(d as u64);
+        buf.put_u64(d as u64);
     }
     put_f32_slice(buf, &cfg.alpha);
-    buf.put_f32_le(cfg.beta_cap);
-    buf.put_f32_le(cfg.user_beta_gamma);
-    buf.put_u64_le(cfg.anneal_steps);
-    buf.put_f32_le(cfg.dropout);
-    buf.put_f32_le(cfg.field_dropout);
-    buf.put_f32_le(cfg.lr);
-    buf.put_u64_le(cfg.batch_size as u64);
-    buf.put_u64_le(cfg.epochs as u64);
+    buf.put_f32(cfg.beta_cap);
+    buf.put_f32(cfg.user_beta_gamma);
+    buf.put_u64(cfg.anneal_steps);
+    buf.put_f32(cfg.dropout);
+    buf.put_f32(cfg.field_dropout);
+    buf.put_f32(cfg.lr);
+    buf.put_u64(cfg.batch_size as u64);
+    buf.put_u64(cfg.epochs as u64);
     buf.put_u8(strategy_tag(cfg.sampling.strategy));
-    buf.put_f64_le(cfg.sampling.rate);
-    buf.put_f64_le(cfg.sampling.negative_pad);
-    buf.put_u64_le(cfg.sampling.sampled_fields.len() as u64);
+    buf.put_f64(cfg.sampling.rate);
+    buf.put_f64(cfg.sampling.negative_pad);
+    buf.put_u64(cfg.sampling.sampled_fields.len() as u64);
     for &flag in &cfg.sampling.sampled_fields {
         buf.put_u8(flag as u8);
     }
-    buf.put_f32_le(cfg.init_std);
-    buf.put_f32_le(cfg.clip_norm);
-    buf.put_u64_le(cfg.seed);
+    buf.put_f32(cfg.init_std);
+    buf.put_f32(cfg.clip_norm);
+    buf.put_u64(cfg.seed);
 }
 
-fn get_config(buf: &mut impl Buf) -> Result<FvaeConfig, DecodeError> {
-    need(buf, 32)?;
-    let n_fields = buf.get_u64_le() as usize;
-    let latent_dim = buf.get_u64_le() as usize;
-    let enc_hidden = buf.get_u64_le() as usize;
-    let n_extra = buf.get_u64_le() as usize;
-    need(buf, n_extra * 8)?;
-    let enc_extra_hidden: Vec<usize> = (0..n_extra).map(|_| buf.get_u64_le() as usize).collect();
-    need(buf, 8)?;
-    let n_dec = buf.get_u64_le() as usize;
-    need(buf, n_dec * 8)?;
-    let dec_hidden: Vec<usize> = (0..n_dec).map(|_| buf.get_u64_le() as usize).collect();
-    let alpha = get_f32_vec(buf)?;
-    need(buf, 4 + 8 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8)?;
-    let beta_cap = buf.get_f32_le();
-    let user_beta_gamma = buf.get_f32_le();
-    let anneal_steps = buf.get_u64_le();
-    let dropout = buf.get_f32_le();
-    let field_dropout = buf.get_f32_le();
-    let lr = buf.get_f32_le();
-    let batch_size = buf.get_u64_le() as usize;
-    let epochs = buf.get_u64_le() as usize;
-    let strategy = strategy_from_tag(buf.get_u8())?;
-    let rate = buf.get_f64_le();
-    let negative_pad = buf.get_f64_le();
-    let n_flags = buf.get_u64_le() as usize;
-    need(buf, n_flags + 16)?;
-    let sampled_fields: Vec<bool> = (0..n_flags).map(|_| buf.get_u8() != 0).collect();
-    let init_std = buf.get_f32_le();
-    let clip_norm = buf.get_f32_le();
-    let seed = buf.get_u64_le();
+fn get_widths(r: &mut Reader<'_>) -> Result<Vec<usize>, DecodeError> {
+    Ok(r.u64_vec()?.into_iter().map(|d| d as usize).collect())
+}
+
+fn get_config(r: &mut Reader<'_>) -> Result<FvaeConfig, DecodeError> {
+    let n_fields = r.u64()? as usize;
+    let latent_dim = r.u64()? as usize;
+    let enc_hidden = r.u64()? as usize;
+    let enc_extra_hidden = get_widths(r)?;
+    let dec_hidden = get_widths(r)?;
+    let alpha = r.f32_vec()?;
+    let beta_cap = r.f32()?;
+    let user_beta_gamma = r.f32()?;
+    let anneal_steps = r.u64()?;
+    let dropout = r.f32()?;
+    let field_dropout = r.f32()?;
+    let lr = r.f32()?;
+    let batch_size = r.u64()? as usize;
+    let epochs = r.u64()? as usize;
+    let strategy = strategy_from_tag(r.u8()?)?;
+    let rate = r.f64()?;
+    let negative_pad = r.f64()?;
+    let n_flags = r.count(1)?;
+    let sampled_fields = r.bytes(n_flags)?.iter().map(|&flag| flag != 0).collect();
+    let init_std = r.f32()?;
+    let clip_norm = r.f32()?;
+    let seed = r.u64()?;
     let cfg = FvaeConfig {
         n_fields,
         latent_dim,
@@ -138,50 +123,56 @@ fn get_config(buf: &mut impl Buf) -> Result<FvaeConfig, DecodeError> {
 
 impl Fvae {
     /// Serializes the model (configuration + all parameters + step count).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 << 20);
-        put_header(&mut buf);
-        put_config(&mut buf, &self.cfg);
-        buf.put_u64_le(self.step);
+    pub fn to_bytes(&self) -> Box<[u8]> {
+        let mut buf = Vec::new();
+        self.write_to(&mut buf);
+        buf.into_boxed_slice()
+    }
+
+    /// Appends the [`Fvae::to_bytes`] encoding to `buf`.
+    pub(crate) fn write_to(&self, buf: &mut Vec<u8>) {
+        put_header(buf);
+        put_config(buf, &self.cfg);
+        buf.put_u64(self.step);
         for bag in &self.bags {
-            put_embedding_bag(&mut buf, bag);
+            put_embedding_bag(buf, bag);
         }
-        put_f32_slice(&mut buf, &self.enc_bias);
+        put_f32_slice(buf, &self.enc_bias);
         buf.put_u8(self.enc_extra.is_some() as u8);
         if let Some(mlp) = &self.enc_extra {
-            put_mlp(&mut buf, mlp);
+            put_mlp(buf, mlp);
         }
-        put_dense(&mut buf, &self.enc_head);
-        put_mlp(&mut buf, &self.trunk);
+        put_dense(buf, &self.enc_head);
+        put_mlp(buf, &self.trunk);
         for head in &self.heads {
-            put_softmax_head(&mut buf, head);
+            put_softmax_head(buf, head);
         }
-        buf.freeze()
     }
 
     /// Deserializes a model written by [`Fvae::to_bytes`].
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        get_header(&mut buf)?;
-        let cfg = get_config(&mut buf)?;
-        need(&buf, 8)?;
-        let step = buf.get_u64_le();
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes.as_ref());
+        r.header(MAGIC, VERSION)?;
+        let cfg = get_config(&mut r)?;
+        let step = r.u64()?;
+        r.fits(cfg.n_fields, MIN_EMBEDDING_BAG_BYTES + MIN_SOFTMAX_HEAD_BYTES)?;
         let mut bags = Vec::with_capacity(cfg.n_fields);
         for _ in 0..cfg.n_fields {
-            bags.push(get_embedding_bag(&mut buf, cfg.init_std)?);
+            bags.push(get_embedding_bag(&mut r, cfg.init_std)?);
         }
-        let enc_bias = get_f32_vec(&mut buf)?;
+        let enc_bias = r.f32_vec()?;
         if enc_bias.len() != cfg.enc_hidden {
             return Err(DecodeError::Invalid("encoder bias width mismatch".into()));
         }
-        need(&buf, 1)?;
-        let has_extra = buf.get_u8() != 0;
-        let enc_extra = if has_extra { Some(get_mlp(&mut buf)?) } else { None };
-        let enc_head = get_dense(&mut buf)?;
-        let trunk = get_mlp(&mut buf)?;
+        let has_extra = r.u8()? != 0;
+        let enc_extra = if has_extra { Some(get_mlp(&mut r)?) } else { None };
+        let enc_head = get_dense(&mut r)?;
+        let trunk = get_mlp(&mut r)?;
         let mut heads = Vec::with_capacity(cfg.n_fields);
         for _ in 0..cfg.n_fields {
-            heads.push(get_softmax_head(&mut buf, cfg.init_std)?);
+            heads.push(get_softmax_head(&mut r, cfg.init_std)?);
         }
+        r.finish()?;
         let rng = StdRng::seed_from_u64(cfg.seed ^ step.wrapping_mul(0x9e37_79b9));
         Ok(Self { cfg, bags, enc_bias, enc_extra, enc_head, trunk, heads, rng, step })
     }
@@ -255,9 +246,9 @@ mod tests {
     fn truncation_and_corruption_are_rejected() {
         let (_, model) = trained_model();
         let bytes = model.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 7);
+        let cut = &bytes[..bytes.len() - 7];
         assert!(Fvae::from_bytes(cut).is_err());
-        let cut_early = bytes.slice(0..10);
+        let cut_early = &bytes[..10];
         assert!(Fvae::from_bytes(cut_early).is_err());
     }
 }

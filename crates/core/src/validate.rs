@@ -7,7 +7,6 @@
 //! validation ELBO stalls and restores the best snapshot (via the model's
 //! binary serialization).
 
-use bytes::Bytes;
 use fvae_data::MultiFieldDataset;
 use fvae_nn::SampledSoftmaxOutput;
 use fvae_sparse::FastHashMap;
@@ -137,7 +136,7 @@ impl Fvae {
         assert!(options.max_epochs > 0 && options.eval_every > 0);
         let mut history = TrainHistory::default();
         let mut global_step = 0u64;
-        let mut best: Option<(f32, Bytes, usize)> = None;
+        let mut best: Option<(f32, Box<[u8]>, usize)> = None;
         let mut strikes = 0usize;
         let mut epoch = 0usize;
         let mut already_stopped = false;
@@ -150,7 +149,7 @@ impl Fvae {
             history.validations =
                 es.validations.iter().map(|&(e, v)| (e as usize, v)).collect();
             history.stopped_early = es.stopped_early;
-            best = es.best.map(|(elbo, bytes, ep)| (elbo, Bytes::from(bytes), ep as usize));
+            best = es.best.map(|(elbo, bytes, ep)| (elbo, bytes.into_boxed_slice(), ep as usize));
             strikes = es.strikes as usize;
             already_stopped = es.stopped_early;
         }

@@ -5,10 +5,10 @@
 //! analogue: a sharded read–write-locked map with binary save/load so the
 //! offline step can hand artifacts to the online step.
 
-use bytes::{Buf, BufMut, BytesMut};
-use fvae_sparse::serial::{get_header, put_header, DecodeError};
+use std::sync::RwLock;
+
+use fvae_sparse::serial::DecodeError;
 use fvae_sparse::FastHashMap;
-use parking_lot::RwLock;
 
 /// Number of lock shards; embeddings hash-shard across them so concurrent
 /// readers and the (rare) writer don't serialize on a single lock.
@@ -45,22 +45,22 @@ impl EmbeddingStore {
     /// Inserts or replaces a user's embedding. Panics on a wrong dimension.
     pub fn put(&self, user: u64, embedding: Vec<f32>) {
         assert_eq!(embedding.len(), self.dim, "embedding dim mismatch");
-        self.shard(user).write().insert(user, embedding);
+        self.shard(user).write().expect("store shard lock").insert(user, embedding);
     }
 
     /// Reads a user's embedding.
     pub fn get(&self, user: u64) -> Option<Vec<f32>> {
-        self.shard(user).read().get(&user).cloned()
+        self.shard(user).read().expect("store shard lock").get(&user).cloned()
     }
 
     /// True if the user is cached.
     pub fn contains(&self, user: u64) -> bool {
-        self.shard(user).read().contains_key(&user)
+        self.shard(user).read().expect("store shard lock").contains_key(&user)
     }
 
     /// Number of cached users.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().expect("store shard lock").len()).sum()
     }
 
     /// True when no embeddings are cached.
@@ -87,59 +87,26 @@ impl EmbeddingStore {
         Some(acc)
     }
 
-    /// Serializes the whole store (deterministic user order).
-    pub fn to_bytes(&self) -> bytes::Bytes {
+    /// Serializes the whole store in the [`fvae_ann::io`] embedding-file
+    /// format (users in ascending order).
+    pub fn to_bytes(&self) -> Box<[u8]> {
         let mut entries: Vec<(u64, Vec<f32>)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            for (&u, e) in shard.read().iter() {
-                entries.push((u, e.clone()));
-            }
+            let shard = shard.read().expect("store shard lock");
+            entries.extend(shard.iter().map(|(&u, e)| (u, e.clone())));
         }
         entries.sort_unstable_by_key(|&(u, _)| u);
-        let mut buf = BytesMut::with_capacity(16 + entries.len() * (8 + self.dim * 4));
-        put_header(&mut buf);
-        buf.put_u64_le(self.dim as u64);
-        buf.put_u64_le(entries.len() as u64);
-        for (u, e) in entries {
-            buf.put_u64_le(u);
-            for v in e {
-                buf.put_f32_le(v);
-            }
-        }
-        buf.freeze()
+        let ids: Vec<u64> = entries.iter().map(|&(u, _)| u).collect();
+        let data: Vec<f32> = entries.into_iter().flat_map(|(_, e)| e).collect();
+        fvae_ann::io::write_embeddings(self.dim, &ids, &data)
     }
 
     /// Deserializes a store written by [`EmbeddingStore::to_bytes`].
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        get_header(&mut buf)?;
-        if buf.remaining() < 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let dim = buf.get_u64_le() as usize;
-        // Validate *before* constructing: `EmbeddingStore::new` asserts a
-        // positive dim, and hostile input must surface as a typed error,
-        // not a panic (or a silently clamped dim-1 store).
-        if dim == 0 {
-            return Err(DecodeError::Invalid("zero embedding dim".into()));
-        }
-        let n = buf.get_u64_le() as usize;
-        let store = EmbeddingStore::new(dim);
-        for _ in 0..n {
-            if buf.remaining() < 8 + dim * 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let user = buf.get_u64_le();
-            // `to_bytes` never writes a user twice; a duplicate here means
-            // a corrupt or hand-forged file, and silently keeping the last
-            // occurrence would mask it (and break the declared count).
-            if store.contains(user) {
-                return Err(DecodeError::Invalid(format!("duplicate user id {user}")));
-            }
-            let mut e = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                e.push(buf.get_f32_le());
-            }
-            store.put(user, e);
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        let file = fvae_ann::io::read_embeddings(bytes)?;
+        let store = EmbeddingStore::new(file.dim);
+        for (&user, row) in file.ids.iter().zip(file.data.chunks_exact(file.dim)) {
+            store.put(user, row.to_vec());
         }
         Ok(store)
     }
@@ -148,6 +115,7 @@ impl EmbeddingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fvae_sparse::serial::{put_header, Put};
 
     #[test]
     fn put_get_roundtrip() {
@@ -196,7 +164,7 @@ mod tests {
         let store = EmbeddingStore::new(4);
         store.put(1, vec![0.0; 4]);
         let bytes = store.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 2);
+        let cut = &bytes[..bytes.len() - 2];
         assert!(matches!(
             EmbeddingStore::from_bytes(cut),
             Err(DecodeError::Truncated)
@@ -208,11 +176,11 @@ mod tests {
         // A forged header with dim = 0 must be a typed decode error; the
         // old path constructed the store (with dim clamped to 1) first,
         // which turned hostile input into an assert in `new`.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u64_le(0); // dim
-        buf.put_u64_le(3); // entries
-        match EmbeddingStore::from_bytes(buf.freeze()) {
+        buf.put_u64(0); // dim
+        buf.put_u64(3); // entries
+        match EmbeddingStore::from_bytes(buf) {
             Err(DecodeError::Invalid(msg)) => assert_eq!(msg, "zero embedding dim"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("zero-dim store accepted"),
@@ -221,17 +189,19 @@ mod tests {
 
     #[test]
     fn duplicate_user_ids_are_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u64_le(2); // dim
-        buf.put_u64_le(2); // entries
+        buf.put_u64(2); // dim
+        buf.put_u64(2); // entries
         for _ in 0..2 {
-            buf.put_u64_le(7);
-            buf.put_f32_le(1.0);
-            buf.put_f32_le(2.0);
+            buf.put_u64(7);
+            buf.put_f32(1.0);
+            buf.put_f32(2.0);
         }
-        match EmbeddingStore::from_bytes(buf.freeze()) {
-            Err(DecodeError::Invalid(msg)) => assert_eq!(msg, "duplicate user id 7"),
+        match EmbeddingStore::from_bytes(buf) {
+            Err(DecodeError::Invalid(msg)) => {
+                assert_eq!(msg, "user ids not strictly increasing at 7")
+            }
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("duplicate user ids accepted"),
         }
@@ -239,9 +209,9 @@ mod tests {
 
     #[test]
     fn byte_layout_locked_to_fvae_ann_io() {
-        // `fvae_ann::io` re-implements this file format over flat slices
-        // (the `nearest` RPC reads embedding files without the lock
-        // shards); the two implementations must stay byte-identical.
+        // The store writes through `fvae_ann::io` (the `nearest` RPC reads
+        // the same files without the lock shards): its bytes must be that
+        // writer's, with users gathered from the shards in ascending order.
         let store = EmbeddingStore::new(3);
         for u in [4u64, 9, 11, 30] {
             store.put(u, vec![u as f32, 0.5, -(u as f32)]);

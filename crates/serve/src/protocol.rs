@@ -16,6 +16,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use fvae_sparse::serial::{DecodeError, Reader};
+
 /// Hard cap on the post-prefix frame size (16 MiB). A length prefix above
 /// this is rejected before any buffer is grown.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
@@ -277,73 +279,25 @@ impl From<ProtoError> for RecvError {
 }
 
 // ---------------------------------------------------------------------------
-// Bounds-checked cursor
+// Bounds-checked reads
 // ---------------------------------------------------------------------------
 
-/// Read cursor over a frame body. Every accessor checks the remaining
-/// length first, so decoding arbitrary bytes can fail but never read out of
-/// bounds.
-struct Rd<'a> {
-    buf: &'a [u8],
+/// Names what a [`Reader`] read was for: a short body surfaces as
+/// [`ProtoError::Truncated`] carrying that context.
+trait Context<T> {
+    fn ctx(self, context: &'static str) -> Result<T, ProtoError>;
 }
 
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ProtoError> {
-        if self.buf.len() < n {
-            return Err(ProtoError::Truncated { context });
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
+impl<T> Context<T> for Result<T, DecodeError> {
+    fn ctx(self, context: &'static str) -> Result<T, ProtoError> {
+        self.map_err(|_| ProtoError::Truncated { context })
     }
+}
 
-    fn u8(&mut self, context: &'static str) -> Result<u8, ProtoError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, ProtoError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, ProtoError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, ProtoError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads `n` little-endian `u64`s, validating the byte count against the
-    /// remaining body *before* allocating the vector.
-    fn u64s(&mut self, n: usize, context: &'static str) -> Result<Vec<u64>, ProtoError> {
-        let bytes = self.take(n.checked_mul(8).ok_or(ProtoError::Malformed("count overflow"))?, context)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
-    }
-
-    /// Reads `n` little-endian `f32`s with the same pre-allocation check.
-    fn f32s(&mut self, n: usize, context: &'static str) -> Result<Vec<f32>, ProtoError> {
-        let bytes = self.take(n.checked_mul(4).ok_or(ProtoError::Malformed("count overflow"))?, context)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, ProtoError> {
-        let n = self.u32(context)? as usize;
-        let bytes = self.take(n, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("non-UTF-8 text"))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
+fn string(rd: &mut Reader<'_>, context: &'static str) -> Result<String, ProtoError> {
+    let n = rd.u32().ctx(context)? as usize;
+    let bytes = rd.bytes(n).ctx(context)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("non-UTF-8 text"))
 }
 
 // ---------------------------------------------------------------------------
@@ -353,55 +307,53 @@ impl<'a> Rd<'a> {
 /// Decodes one frame payload (`kind` byte plus body, the part after the
 /// length prefix).
 pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
-    let mut rd = Rd { buf: payload };
-    let kind = rd.u8("kind byte")?;
+    let mut rd = Reader::new(payload);
+    let kind = rd.u8().ctx("kind byte")?;
     let msg = match kind {
         KIND_EMBED_REQUEST => {
-            let req_id = rd.u64("request id")?;
-            let n_fields = rd.u16("field count")? as usize;
+            let req_id = rd.u64().ctx("request id")?;
+            let n_fields = rd.u16().ctx("field count")? as usize;
             if n_fields > MAX_FIELDS {
                 return Err(ProtoError::Malformed("field count over limit"));
             }
-            let mut fields = Vec::with_capacity(n_fields);
+            let mut fields = Vec::with_capacity(rd.fits(n_fields, 4).ctx("row length")?);
             for _ in 0..n_fields {
-                let n = rd.u32("row length")? as usize;
+                let n = rd.u32().ctx("row length")? as usize;
                 // One combined check so neither vector is reserved unless
                 // both fit in the remaining body.
-                if rd.remaining() < n.saturating_mul(12) {
-                    return Err(ProtoError::Truncated { context: "field row" });
-                }
-                let ids = rd.u64s(n, "field ids")?;
-                let vals = rd.f32s(n, "field weights")?;
+                rd.fits(n, 12).ctx("field row")?;
+                let ids = rd.u64s(n).ctx("field ids")?;
+                let vals = rd.f32s(n).ctx("field weights")?;
                 fields.push((ids, vals));
             }
             Message::EmbedRequest { req_id, fields }
         }
         KIND_EMBED_REPLY => {
-            let req_id = rd.u64("request id")?;
-            let ckpt_id = rd.u64("checkpoint id")?;
-            let dim = rd.u32("embedding length")? as usize;
-            let embedding = rd.f32s(dim, "embedding")?;
+            let req_id = rd.u64().ctx("request id")?;
+            let ckpt_id = rd.u64().ctx("checkpoint id")?;
+            let dim = rd.u32().ctx("embedding length")? as usize;
+            let embedding = rd.f32s(dim).ctx("embedding")?;
             Message::EmbedReply { req_id, ckpt_id, embedding }
         }
-        KIND_OVERLOADED => Message::Overloaded { req_id: rd.u64("request id")? },
+        KIND_OVERLOADED => Message::Overloaded { req_id: rd.u64().ctx("request id")? },
         KIND_ERROR_REPLY => {
-            let req_id = rd.u64("request id")?;
-            let code = rd.u16("error code")?;
-            let msg = rd.string("error text")?;
+            let req_id = rd.u64().ctx("request id")?;
+            let code = rd.u16().ctx("error code")?;
+            let msg = string(&mut rd, "error text")?;
             Message::ErrorReply { req_id, code, msg }
         }
-        KIND_PING => Message::Ping { token: rd.u64("ping token")? },
-        KIND_PONG => Message::Pong { token: rd.u64("pong token")? },
+        KIND_PING => Message::Ping { token: rd.u64().ctx("ping token")? },
+        KIND_PONG => Message::Pong { token: rd.u64().ctx("pong token")? },
         KIND_METRICS_REQUEST => Message::MetricsRequest,
-        KIND_METRICS_REPLY => Message::MetricsReply { text: rd.string("metrics text")? },
+        KIND_METRICS_REPLY => Message::MetricsReply { text: string(&mut rd, "metrics text")? },
         KIND_RELOAD_REQUEST => Message::ReloadRequest,
         KIND_RELOAD_REPLY => {
-            let flags = rd.u8("reload flags")?;
+            let flags = rd.u8().ctx("reload flags")?;
             if flags > 3 {
                 return Err(ProtoError::Malformed("reload flags"));
             }
-            let ckpt_id = rd.u64("checkpoint id")?;
-            let detail = rd.string("reload detail")?;
+            let ckpt_id = rd.u64().ctx("checkpoint id")?;
+            let detail = string(&mut rd, "reload detail")?;
             Message::ReloadReply {
                 ok: flags & 1 != 0,
                 changed: flags & 2 != 0,
@@ -410,47 +362,45 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
             }
         }
         KIND_RELOAD_TO_REQUEST => {
-            Message::ReloadToRequest { ckpt_id: rd.u64("target checkpoint id")? }
+            Message::ReloadToRequest { ckpt_id: rd.u64().ctx("target checkpoint id")? }
         }
         KIND_NEAREST_REQUEST => {
-            let req_id = rd.u64("request id")?;
-            let k = rd.u32("neighbour count")?;
+            let req_id = rd.u64().ctx("request id")?;
+            let k = rd.u32().ctx("neighbour count")?;
             if k as usize > MAX_NEAREST_K {
                 return Err(ProtoError::Malformed("k over limit"));
             }
-            let dim = rd.u32("query dim")? as usize;
+            let dim = rd.u32().ctx("query dim")? as usize;
             if dim > MAX_NEAREST_DIM {
                 return Err(ProtoError::Malformed("query dim over limit"));
             }
-            let query = rd.f32s(dim, "query embedding")?;
+            let query = rd.f32s(dim).ctx("query embedding")?;
             Message::NearestRequest { req_id, k, query }
         }
         KIND_NEAREST_REPLY => {
-            let req_id = rd.u64("request id")?;
-            let index_id = rd.u64("index id")?;
-            let n = rd.u32("neighbour count")? as usize;
+            let req_id = rd.u64().ctx("request id")?;
+            let index_id = rd.u64().ctx("index id")?;
+            let n = rd.u32().ctx("neighbour count")? as usize;
             if n > MAX_NEAREST_K {
                 return Err(ProtoError::Malformed("neighbour count over limit"));
             }
             // One combined check so neither vector is reserved unless both
             // fit in the remaining body.
-            if rd.remaining() < n.saturating_mul(12) {
-                return Err(ProtoError::Truncated { context: "neighbour rows" });
-            }
-            let ids = rd.u64s(n, "neighbour ids")?;
-            let scores = rd.f32s(n, "neighbour scores")?;
+            rd.fits(n, 12).ctx("neighbour rows")?;
+            let ids = rd.u64s(n).ctx("neighbour ids")?;
+            let scores = rd.f32s(n).ctx("neighbour scores")?;
             Message::NearestReply { req_id, index_id, ids, scores }
         }
         KIND_SHUTDOWN => Message::Shutdown,
         KIND_SHUTDOWN_ACK => Message::ShutdownAck,
         KIND_TRACE_REQUEST => Message::TraceRequest,
-        KIND_TRACE_REPLY => Message::TraceReply { json: rd.string("trace json")? },
+        KIND_TRACE_REPLY => Message::TraceReply { json: string(&mut rd, "trace json")? },
         KIND_INFO_REQUEST => Message::InfoRequest,
         KIND_INFO_REPLY => {
-            let n_fields = rd.u32("field count")?;
-            let latent_dim = rd.u32("latent dim")?;
-            let ckpt_id = rd.u64("checkpoint id")?;
-            let quantized = match rd.u8("quantized flag")? {
+            let n_fields = rd.u32().ctx("field count")?;
+            let latent_dim = rd.u32().ctx("latent dim")?;
+            let ckpt_id = rd.u64().ctx("checkpoint id")?;
+            let quantized = match rd.u8().ctx("quantized flag")? {
                 0 => false,
                 1 => true,
                 _ => return Err(ProtoError::Malformed("quantized flag")),
@@ -459,10 +409,10 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
         }
         other => return Err(ProtoError::UnknownKind(other)),
     };
-    if rd.remaining() != 0 {
-        return Err(ProtoError::TrailingBytes { extra: rd.remaining() });
+    match rd.remaining() {
+        0 => Ok(msg),
+        extra => Err(ProtoError::TrailingBytes { extra }),
     }
-    Ok(msg)
 }
 
 // ---------------------------------------------------------------------------

@@ -42,12 +42,11 @@ use std::io::{self, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceBuffer, TraceEvent};
-use parking_lot::RwLock;
 
 use crate::cache::row_hash;
 use crate::client::{Client, ServerInfo};
@@ -648,7 +647,7 @@ impl Router {
 
     /// The committed fleet contract.
     pub fn fleet_info(&self) -> FleetInfo {
-        *self.shared.fleet.read()
+        *self.shared.fleet.read().expect("fleet lock")
     }
 
     /// Number of shards currently marked unhealthy (or probing).
@@ -874,7 +873,7 @@ fn connection_loop(shared: &Arc<RouterShared>, mut stream: TcpStream) {
                 }
             }
             Message::InfoRequest => {
-                let fleet = *shared.fleet.read();
+                let fleet = *shared.fleet.read().expect("fleet lock");
                 let reply = Message::InfoReply {
                     n_fields: fleet.n_fields as u32,
                     latent_dim: fleet.latent_dim as u32,
@@ -969,7 +968,7 @@ fn route_embed(
     shared.metrics.requests.inc();
     let started = Instant::now();
     let route_start = shared.trace.now_ns();
-    let n_fields = shared.fleet.read().n_fields;
+    let n_fields = shared.fleet.read().expect("fleet lock").n_fields;
     if fields.len() != n_fields {
         shared.metrics.errors.inc();
         let dur = shared.trace.now_ns().saturating_sub(route_start);
@@ -1140,7 +1139,7 @@ fn forward_with_failover(
 /// identity otherwise. Serialized on the router's reload lock.
 fn coordinated_reload(shared: &Arc<RouterShared>, target: Option<u64>) -> FleetReloadOutcome {
     let _serialize = shared.reload_lock.lock().expect("reload mutex");
-    let old_id = shared.fleet.read().ckpt_id;
+    let old_id = shared.fleet.read().expect("fleet lock").ckpt_id;
     let cfg = &shared.cfg;
     // Snapshot decode can outlast a routing RPC; give reloads more room.
     let reload_timeout = cfg.rpc_timeout.max(Duration::from_secs(10));
@@ -1190,7 +1189,7 @@ fn coordinated_reload(shared: &Arc<RouterShared>, target: Option<u64>) -> FleetR
                 ),
             };
         }
-        shared.fleet.write().ckpt_id = new_id;
+        shared.fleet.write().expect("fleet lock").ckpt_id = new_id;
         shared.metrics.reloads.inc();
         return FleetReloadOutcome {
             ok: true,

@@ -35,7 +35,7 @@ use std::io::{self, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,6 @@ use fvae_core::{
 };
 use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceBuffer, TraceEvent};
 use fvae_tensor::Matrix;
-use parking_lot::RwLock;
 
 use crate::cache::{fnv64, row_hash, EmbedCache};
 use crate::protocol::{
@@ -327,11 +326,12 @@ fn refresh_nearest(shared: &Shared) -> Result<(), ServeError> {
     };
     let raw = std::fs::read(path)?;
     let index_id = fnv64(&raw);
-    if shared.nearest.read().as_ref().map(|s| s.index_id) == Some(index_id) {
+    if shared.nearest.read().expect("nearest lock").as_ref().map(|s| s.index_id) == Some(index_id) {
         return Ok(()); // byte-identical store: keep the built index
     }
     let index = build_nearest_index(path, &raw)?;
-    *shared.nearest.write() = Some(Arc::new(NearestState { index, index_id }));
+    let state = Arc::new(NearestState { index, index_id });
+    *shared.nearest.write().expect("nearest lock") = Some(state);
     shared.metrics.nearest_reloads.inc();
     Ok(())
 }
@@ -489,29 +489,29 @@ impl Server {
 
     /// Identity of the checkpoint currently being served.
     pub fn ckpt_id(&self) -> u64 {
-        self.shared.model.read().ckpt_id
+        self.shared.model.read().expect("model lock").ckpt_id
     }
 
     /// Latent dimensionality of served embeddings.
     pub fn latent_dim(&self) -> usize {
-        self.shared.model.read().encoder.latent_dim()
+        self.shared.model.read().expect("model lock").encoder.latent_dim()
     }
 
     /// Field count requests must supply.
     pub fn n_fields(&self) -> usize {
-        self.shared.model.read().encoder.n_fields()
+        self.shared.model.read().expect("model lock").encoder.n_fields()
     }
 
     /// Whether the int8 quantized encoder is serving (the `--quant int8`
     /// mode; reload preserves it).
     pub fn quantized(&self) -> bool {
-        self.shared.model.read().quant.is_some()
+        self.shared.model.read().expect("model lock").quant.is_some()
     }
 
     /// Identity of the embedding-store index currently answering
     /// `NearestRequest` frames (`None` without `--embeddings`).
     pub fn nearest_index_id(&self) -> Option<u64> {
-        self.shared.nearest.read().as_ref().map(|s| s.index_id)
+        self.shared.nearest.read().expect("nearest lock").as_ref().map(|s| s.index_id)
     }
 
     /// In-process nearest-neighbour query against the same index the
@@ -519,7 +519,7 @@ impl Server {
     /// store is loaded. The RPC path must be bit-identical to this.
     pub fn nearest(&self, query: &[f32], k: usize) -> Option<Vec<(u64, f32)>> {
         use fvae_ann::AnnIndex as _;
-        let state = Arc::clone(self.shared.nearest.read().as_ref()?);
+        let state = Arc::clone(self.shared.nearest.read().expect("nearest lock").as_ref()?);
         Some(state.index.search(query, k).into_iter().map(|n| (n.id, n.score)).collect())
     }
 
@@ -718,7 +718,7 @@ fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutco
         return Err(e);
     }
     let (current_id, cur_fields, cur_dim) = {
-        let model = shared.model.read();
+        let model = shared.model.read().expect("model lock");
         (model.ckpt_id, model.encoder.n_fields(), model.encoder.latent_dim())
     };
     if let Some(t) = target {
@@ -726,7 +726,7 @@ fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutco
         // identity is already known to match.
         if t == current_id {
             shared.metrics.reload_noops.inc();
-            let path = shared.model.read().path.clone();
+            let path = shared.model.read().expect("model lock").path.clone();
             return Ok(ReloadOutcome { changed: false, ckpt_id: current_id, path });
         }
     }
@@ -759,7 +759,7 @@ fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutco
                 )));
             }
             let out = ReloadOutcome { changed: true, ckpt_id: state.ckpt_id, path: state.path.clone() };
-            *task_shared.model.write() = Arc::new(state);
+            *task_shared.model.write().expect("model lock") = Arc::new(state);
             task_shared.metrics.reloads.inc();
             Ok(out)
         })();
@@ -946,7 +946,7 @@ fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u
         }
         Message::InfoRequest => {
             let reply = {
-                let model = shared.model.read();
+                let model = shared.model.read().expect("model lock");
                 Message::InfoReply {
                     n_fields: model.encoder.n_fields() as u32,
                     latent_dim: model.encoder.latent_dim() as u32,
@@ -971,7 +971,7 @@ fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u
                 Err(e) => Message::ReloadReply {
                     ok: false,
                     changed: false,
-                    ckpt_id: shared.model.read().ckpt_id,
+                    ckpt_id: shared.model.read().expect("model lock").ckpt_id,
                     detail: e.to_string(),
                 },
             };
@@ -988,7 +988,7 @@ fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u
                 Err(e) => Message::ReloadReply {
                     ok: false,
                     changed: false,
-                    ckpt_id: shared.model.read().ckpt_id,
+                    ckpt_id: shared.model.read().expect("model lock").ckpt_id,
                     detail: e.to_string(),
                 },
             };
@@ -999,7 +999,7 @@ fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u
             // Clone the Arc under the read lock, search outside it: the
             // whole query runs against one index snapshot, and a reload
             // swapping mid-search affects later queries only.
-            let state = shared.nearest.read().as_ref().map(Arc::clone);
+            let state = shared.nearest.read().expect("nearest lock").as_ref().map(Arc::clone);
             let reply = match state {
                 None => {
                     shared.metrics.nearest_errors.inc();
@@ -1071,7 +1071,7 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
         shared.metrics.stage_ns[ST_ADMISSION].record(dur);
     };
     let (n_fields, dim, ckpt_id) = {
-        let model = shared.model.read();
+        let model = shared.model.read().expect("model lock");
         (model.encoder.n_fields(), model.encoder.latent_dim(), model.ckpt_id)
     };
     if fields.len() != n_fields {
@@ -1239,7 +1239,7 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
 
         // Snapshot the model for the whole batch: a concurrent reload
         // swaps the Arc for *later* batches only.
-        let model = Arc::clone(&shared.model.read());
+        let model = Arc::clone(&shared.model.read().expect("model lock"));
 
         if let Some(p) = probe.as_mut() {
             p(BatchPhase::Start, n);

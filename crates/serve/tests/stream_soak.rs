@@ -45,6 +45,10 @@ const PHASE_USERS: usize = 360;
 /// as it learned from scratch".
 const REPEATS_PRE: usize = 6;
 const REPEATS_POST: usize = 12;
+/// Replies the soak must have served. Traffic keeps running after the
+/// publisher finishes until this many have been answered, so the load
+/// does not depend on how fast the trainer runs.
+const MIN_REPLIES: u64 = 500;
 
 fn phase(seed: u64) -> MultiFieldDataset {
     TopicModelConfig {
@@ -146,8 +150,9 @@ fn soak_drift_recovery_with_continuous_serving() {
             .expect("router");
     let router_addr = router.addr().to_string();
 
-    // Closed-loop traffic for the whole soak. Every embed must yield
-    // exactly one successful reply — reloads may never drop or error one.
+    // Closed-loop traffic for the whole soak, and on past its end until
+    // MIN_REPLIES have been served. Every embed must yield exactly one
+    // successful reply — reloads may never drop or error one.
     let stop = Arc::new(AtomicBool::new(false));
     let traffic = {
         let stop = Arc::clone(&stop);
@@ -159,7 +164,7 @@ fn soak_drift_recovery_with_continuous_serving() {
             let mut report =
                 TrafficReport { sent: 0, replied: 0, id_transitions: vec![Vec::new(); 64] };
             let mut user = 0usize;
-            while !stop.load(Ordering::Acquire) {
+            while !stop.load(Ordering::Acquire) || report.replied < MIN_REPLIES {
                 let key = user % 64;
                 let fields = raw_rows(&ds, key, n_fields);
                 user += 1;
@@ -213,7 +218,7 @@ fn soak_drift_recovery_with_continuous_serving() {
 
     // 1. Exactly one successful reply per request, across every reload.
     assert_eq!(traffic.sent, traffic.replied, "every request must get exactly one reply");
-    assert!(traffic.sent >= 500, "soak must have served real load, got {}", traffic.sent);
+    assert!(traffic.sent >= MIN_REPLIES, "soak must have served real load, got {}", traffic.sent);
     assert_eq!(report.push_failures, 0, "all pushes must land on the live router");
 
     // 2. Witnessed checkpoint progression follows publish order: for every

@@ -1,8 +1,8 @@
-//! Minimal binary (de)serialization built on `bytes`.
+//! The workspace's one binary codec: a bounded slice [`Reader`] that every
+//! decoder of external bytes reads through, and the [`Put`] appends writers
+//! use on a plain `Vec<u8>`.
 //!
-//! The look-alike embedding store and the model save/load path need a
-//! compact on-disk format; the approved dependency list has no serde binary
-//! backend, so a small explicit format is defined here:
+//! Artifacts written with this module's helpers share one header:
 //!
 //! ```text
 //! [magic u32][version u16][payload...]
@@ -10,8 +10,6 @@
 //!
 //! Payload encoders exist for `Vec<f32>`, `Vec<u64>`, strings, and
 //! [`CsrMatrix`]. All integers are little-endian.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::csr::CsrMatrix;
 
@@ -76,137 +74,288 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
+/// Bounded little-endian reader over a byte slice: the one decoder
+/// primitive behind every binary format in the workspace.
+///
+/// Every read checks the remaining length first and fails with
+/// [`DecodeError::Truncated`] instead of panicking. Element counts read from
+/// the input go through [`Reader::count`] / [`Reader::fits`] before anything
+/// is allocated from them, so a hostile count costs an error, never an
+/// attacker-sized allocation.
+#[derive(Clone, Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf }
+    }
+
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Takes the next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, tail) = self.buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, tail) = self.buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
+        self.buf = tail;
+        Ok(*head)
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Reads a `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads an `f32`.
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, DecodeError> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// Reads an `f64`.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// Checks that `n` items of at least `min_item_bytes` each can still
+    /// fit in the input, and returns `n`. Call it before any allocation
+    /// sized by a count that came from the input.
+    #[inline]
+    pub fn fits(&self, n: usize, min_item_bytes: usize) -> Result<usize, DecodeError> {
+        match n.checked_mul(min_item_bytes) {
+            Some(total) if total <= self.remaining() => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
+    /// Reads a `u64` element count and [`Reader::fits`]-checks it.
+    #[inline]
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated)?;
+        self.fits(n, min_item_bytes)
+    }
+
+    fn words<const N: usize, T>(
+        &mut self,
+        n: usize,
+        from: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, DecodeError> {
+        let len = n.checked_mul(N).ok_or(DecodeError::Truncated)?;
+        Ok(self
+            .bytes(len)?
+            .chunks_exact(N)
+            .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
+    /// Reads `n` `f32`s.
+    #[inline]
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        self.words(n, f32::from_le_bytes)
+    }
+
+    /// Reads `n` `u32`s.
+    #[inline]
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, DecodeError> {
+        self.words(n, u32::from_le_bytes)
+    }
+
+    /// Reads `n` `u64`s.
+    #[inline]
+    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
+        self.words(n, u64::from_le_bytes)
+    }
+
+    /// Reads a vector written by [`put_f32_slice`].
+    pub fn f32_vec(&mut self) -> Result<Vec<f32>, DecodeError> {
+        let n = self.count(4)?;
+        self.f32s(n)
+    }
+
+    /// Reads a vector written by [`put_u64_slice`].
+    pub fn u64_vec(&mut self) -> Result<Vec<u64>, DecodeError> {
+        let n = self.count(8)?;
+        self.u64s(n)
+    }
+
+    /// Reads a string written by [`put_string`].
+    pub fn string(&mut self) -> Result<String, DecodeError> {
+        let n = self.count(1)?;
+        let bytes = self.bytes(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| DecodeError::Invalid(e.to_string()))
+    }
+
+    /// Reads a `[magic u32][version u16]` header and checks both.
+    pub fn header(&mut self, magic: u32, version: u16) -> Result<(), DecodeError> {
+        if self.u32()? != magic {
+            return Err(DecodeError::BadMagic);
+        }
+        match self.u16()? {
+            v if v == version => Ok(()),
+            v => Err(DecodeError::BadVersion(v)),
+        }
+    }
+
+    /// Ends decoding: bytes left over mean the input was not what the
+    /// decoder thinks it was.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::Invalid(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
+/// Little-endian appends onto a plain byte vector: the write side of
+/// [`Reader`].
+pub trait Put {
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8);
+    /// Appends a `u16`.
+    fn put_u16(&mut self, v: u16);
+    /// Appends a `u32`.
+    fn put_u32(&mut self, v: u32);
+    /// Appends a `u64`.
+    fn put_u64(&mut self, v: u64);
+    /// Appends an `f32`.
+    fn put_f32(&mut self, v: f32);
+    /// Appends an `f64`.
+    fn put_f64(&mut self, v: f64);
+}
+
+impl Put for Vec<u8> {
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    #[inline]
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_f32(&mut self, v: f32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_f64(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Writes the artifact header.
-pub fn put_header(buf: &mut BytesMut) {
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION);
-}
-
-/// Reads and checks the artifact header.
-pub fn get_header(buf: &mut impl Buf) -> Result<(), DecodeError> {
-    need(buf, 6)?;
-    if buf.get_u32_le() != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    Ok(())
+pub fn put_header(buf: &mut Vec<u8>) {
+    buf.put_u32(MAGIC);
+    buf.put_u16(VERSION);
 }
 
 /// Writes a length-prefixed `f32` slice.
-pub fn put_f32_slice(buf: &mut BytesMut, data: &[f32]) {
-    buf.put_u64_le(data.len() as u64);
+pub fn put_f32_slice(buf: &mut Vec<u8>, data: &[f32]) {
+    buf.put_u64(data.len() as u64);
     buf.reserve(data.len() * 4);
     for &v in data {
-        buf.put_f32_le(v);
+        buf.put_f32(v);
     }
-}
-
-/// Reads a length-prefixed `f32` vector.
-pub fn get_f32_vec(buf: &mut impl Buf) -> Result<Vec<f32>, DecodeError> {
-    need(buf, 8)?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len.saturating_mul(4))?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_f32_le());
-    }
-    Ok(out)
 }
 
 /// Writes a length-prefixed `u64` slice.
-pub fn put_u64_slice(buf: &mut BytesMut, data: &[u64]) {
-    buf.put_u64_le(data.len() as u64);
+pub fn put_u64_slice(buf: &mut Vec<u8>, data: &[u64]) {
+    buf.put_u64(data.len() as u64);
     buf.reserve(data.len() * 8);
     for &v in data {
-        buf.put_u64_le(v);
+        buf.put_u64(v);
     }
-}
-
-/// Reads a length-prefixed `u64` vector.
-pub fn get_u64_vec(buf: &mut impl Buf) -> Result<Vec<u64>, DecodeError> {
-    need(buf, 8)?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len.saturating_mul(8))?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u64_le());
-    }
-    Ok(out)
 }
 
 /// Writes a length-prefixed UTF-8 string.
-pub fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u64_le(s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Reads a length-prefixed UTF-8 string.
-pub fn get_string(buf: &mut impl Buf) -> Result<String, DecodeError> {
-    need(buf, 8)?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len)?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| DecodeError::Invalid(e.to_string()))
+pub fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.put_u64(s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Serializes a CSR matrix (header + payload) into a standalone buffer.
-pub fn encode_csr(m: &CsrMatrix) -> Bytes {
+pub fn encode_csr(m: &CsrMatrix) -> Box<[u8]> {
     let (_, indptr, indices, _) = m.raw_parts();
-    let mut buf = BytesMut::with_capacity(32 + indices.len() * 8 + indptr.len() * 8);
+    let mut buf = Vec::with_capacity(6 + 32 + indptr.len() * 8 + indices.len() * 8);
     put_header(&mut buf);
     encode_csr_payload(&mut buf, m);
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Appends a CSR matrix payload (no header) to an existing buffer; the
 /// composite-artifact counterpart of [`encode_csr`].
-pub fn encode_csr_payload(buf: &mut BytesMut, m: &CsrMatrix) {
+pub fn encode_csr_payload(buf: &mut Vec<u8>, m: &CsrMatrix) {
     let (n_cols, indptr, indices, values) = m.raw_parts();
-    buf.put_u64_le(n_cols as u64);
-    buf.put_u64_le(indptr.len() as u64);
+    buf.put_u64(n_cols as u64);
+    buf.put_u64(indptr.len() as u64);
     for &p in indptr {
-        buf.put_u64_le(p as u64);
+        buf.put_u64(p as u64);
     }
-    buf.put_u64_le(indices.len() as u64);
+    buf.put_u64(indices.len() as u64);
     for &ix in indices {
-        buf.put_u32_le(ix);
+        buf.put_u32(ix);
     }
     put_f32_slice(buf, values);
 }
 
 /// Deserializes a CSR matrix written by [`encode_csr`].
-pub fn decode_csr(mut buf: impl Buf) -> Result<CsrMatrix, DecodeError> {
-    get_header(&mut buf)?;
-    decode_csr_payload(&mut buf)
+pub fn decode_csr(buf: impl AsRef<[u8]>) -> Result<CsrMatrix, DecodeError> {
+    let mut r = Reader::new(buf.as_ref());
+    r.header(MAGIC, VERSION)?;
+    let m = decode_csr_payload(&mut r)?;
+    r.finish()?;
+    Ok(m)
 }
 
 /// Reads a CSR payload written by [`encode_csr_payload`].
-pub fn decode_csr_payload(buf: &mut impl Buf) -> Result<CsrMatrix, DecodeError> {
-    need(buf, 16)?;
-    let n_cols = buf.get_u64_le() as usize;
-    let indptr_len = buf.get_u64_le() as usize;
-    need(buf, indptr_len.saturating_mul(8))?;
-    let indptr: Vec<usize> = (0..indptr_len).map(|_| buf.get_u64_le() as usize).collect();
-    need(buf, 8)?;
-    let nnz = buf.get_u64_le() as usize;
-    need(buf, nnz.saturating_mul(4))?;
-    let indices: Vec<u32> = (0..nnz).map(|_| buf.get_u32_le()).collect();
-    let values = get_f32_vec(buf)?;
-    let m = CsrMatrix::from_raw_parts_checked(n_cols, indptr, indices, values)
-        .map_err(DecodeError::Invalid)?;
-    Ok(m)
+pub fn decode_csr_payload(r: &mut Reader<'_>) -> Result<CsrMatrix, DecodeError> {
+    let n_cols = r.u64()? as usize;
+    let indptr_len = r.count(8)?;
+    let indptr = r.u64s(indptr_len)?.into_iter().map(|p| p as usize).collect();
+    let nnz = r.count(4)?;
+    let indices = r.u32s(nnz)?;
+    let values = r.f32_vec()?;
+    CsrMatrix::from_raw_parts_checked(n_cols, indptr, indices, values).map_err(DecodeError::Invalid)
 }
 
 impl CsrMatrix {
@@ -247,37 +396,60 @@ mod tests {
     #[test]
     fn truncated_buffer_is_rejected() {
         let bytes = encode_csr(&sample());
-        let cut = bytes.slice(0..bytes.len() - 3);
+        let cut = &bytes[..bytes.len() - 3];
         assert_eq!(decode_csr(cut), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0xdeadbeef);
-        buf.put_u16_le(VERSION);
-        assert_eq!(decode_csr(buf.freeze()), Err(DecodeError::BadMagic));
+        let mut buf = Vec::new();
+        buf.put_u32(0xdeadbeef);
+        buf.put_u16(VERSION);
+        assert_eq!(decode_csr(buf), Err(DecodeError::BadMagic));
     }
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(99);
-        assert_eq!(decode_csr(buf.freeze()), Err(DecodeError::BadVersion(99)));
+        let mut buf = Vec::new();
+        buf.put_u32(MAGIC);
+        buf.put_u16(99);
+        assert_eq!(decode_csr(buf), Err(DecodeError::BadVersion(99)));
     }
 
     #[test]
     fn f32_and_u64_and_string_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_f32_slice(&mut buf, &[1.5, -2.25]);
         put_u64_slice(&mut buf, &[7, u64::MAX]);
         put_string(&mut buf, "kandian");
-        let mut bytes = buf.freeze();
-        assert_eq!(get_f32_vec(&mut bytes).expect("f32"), vec![1.5, -2.25]);
-        assert_eq!(get_u64_vec(&mut bytes).expect("u64"), vec![7, u64::MAX]);
-        assert_eq!(get_string(&mut bytes).expect("string"), "kandian");
-        assert_eq!(bytes.remaining(), 0);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.f32_vec().expect("f32"), vec![1.5, -2.25]);
+        assert_eq!(r.u64_vec().expect("u64"), vec![7, u64::MAX]);
+        assert_eq!(r.string().expect("string"), "kandian");
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn reader_checks_every_read_and_every_count() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.u32(), Err(DecodeError::Truncated));
+        assert_eq!(r.u16(), Ok(0x0201));
+        assert_eq!(r.bytes(2), Err(DecodeError::Truncated));
+        assert_eq!(r.fits(1, 1), Ok(1));
+        assert_eq!(r.fits(2, 1), Err(DecodeError::Truncated));
+        assert_eq!(r.fits(usize::MAX, 2), Err(DecodeError::Truncated));
+        assert_eq!(r.f32s(usize::MAX), Err(DecodeError::Truncated));
+        assert_eq!(r.u64s(usize::MAX / 2), Err(DecodeError::Truncated));
+        assert_eq!(r.clone().finish(), Err(DecodeError::Invalid("1 trailing bytes".into())));
+        assert_eq!(r.u8(), Ok(3));
+        assert_eq!(r.finish(), Ok(()));
+
+        let mut hostile = Vec::new();
+        hostile.put_u64(u64::MAX / 2);
+        hostile.put_u64(0);
+        assert_eq!(Reader::new(&hostile).count(1), Err(DecodeError::Truncated));
+        assert_eq!(Reader::new(&hostile).f32_vec(), Err(DecodeError::Truncated));
+        assert_eq!(Reader::new(&hostile).string(), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -303,9 +475,8 @@ mod tests {
 
     #[test]
     fn empty_slices_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_f32_slice(&mut buf, &[]);
-        let mut bytes = buf.freeze();
-        assert_eq!(get_f32_vec(&mut bytes).expect("empty"), Vec::<f32>::new());
+        assert_eq!(Reader::new(&buf).f32_vec().expect("empty"), Vec::<f32>::new());
     }
 }
