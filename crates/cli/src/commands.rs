@@ -70,8 +70,8 @@ pub fn usage() -> String {
      \x20           (recall@k parity harness: sweeps nprobe, judging the IVF-PQ\n\
      \x20           index against the exhaustive flat scan on the same corpus)\n\
      \x20 serve     --checkpoint-dir DIR [--port P] [--host H] [--threads T]\n\
-     \x20           [--batch-size N] [--max-wait-us U] [--queue-capacity Q]\n\
-     \x20           [--cache-capacity C] [--port-file F] [--quant f32|int8]\n\
+     \x20           [--batch-size N] [--queue-capacity Q] [--cache-capacity C]\n\
+     \x20           [--port-file F] [--quant f32|int8]\n\
      \x20           [--embeddings STORE]  (also serve nearest-neighbour RPCs\n\
      \x20           over this embedding store; reload re-reads the file)\n\
      \x20 router    --shards A:P1,B:P2,... | --shards-file F [--port P] [--host H]\n\
@@ -688,8 +688,8 @@ fn ann(args: &Args) -> Result<String, String> {
 /// blocking until a client sends a `Shutdown` frame.
 fn serve(args: &Args) -> Result<String, String> {
     args.expect_only(&[
-        "checkpoint-dir", "host", "port", "threads", "batch-size", "max-wait-us",
-        "queue-capacity", "cache-capacity", "port-file", "quant", "embeddings",
+        "checkpoint-dir", "host", "port", "threads", "batch-size", "queue-capacity",
+        "cache-capacity", "port-file", "quant", "embeddings",
     ])?;
     if let Some(raw) = args.optional("threads") {
         let threads: usize = raw
@@ -703,7 +703,6 @@ fn serve(args: &Args) -> Result<String, String> {
     cfg.host = args.optional("host").unwrap_or("127.0.0.1").to_string();
     cfg.port = args.get_or("port", 0u16)?;
     cfg.batch_size = args.get_or("batch-size", cfg.batch_size)?;
-    cfg.max_wait = std::time::Duration::from_micros(args.get_or("max-wait-us", 500u64)?);
     cfg.queue_capacity = args.get_or("queue-capacity", cfg.queue_capacity)?;
     cfg.cache_capacity = args.get_or("cache-capacity", cfg.cache_capacity)?;
     if let Some(raw) = args.optional("quant") {
@@ -1407,7 +1406,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500 --embeddings {store_path}"
+                 --batch-size 4 --embeddings {store_path}"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1477,7 +1476,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500"
+                 --batch-size 4"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1556,7 +1555,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 8 --max-wait-us 300 --cache-capacity 0"
+                 --batch-size 8 --cache-capacity 0"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1663,7 +1662,7 @@ mod tests {
             let _ = std::fs::remove_file(&port_file);
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500 --cache-capacity 0"
+                 --batch-size 4 --cache-capacity 0"
             );
             shards.push(std::thread::spawn(move || run(&args(&line))));
             shard_addrs.push(wait_for_addr(&port_file));

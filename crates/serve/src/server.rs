@@ -5,8 +5,9 @@
 //! One **accept thread** hands each TCP connection to its own **connection
 //! thread** (blocking reads, framed protocol). Embed requests that miss the
 //! LRU cache become [`Pending`] cells on a **bounded queue**; a single
-//! **batch thread** coalesces up to `batch_size` of them (waiting at most
-//! `max_wait` for stragglers), runs one batched encoder forward on the
+//! **batch thread** drains up to `batch_size` of them the moment it is
+//! free — it never waits for stragglers, so a batch is whatever queued up
+//! during the previous forward — runs one batched encoder forward on the
 //! shared [`fvae_pool`] workers, and fulfils every cell. When the queue is
 //! full the connection thread answers `Overloaded` immediately — the queue
 //! never grows without bound and every request gets exactly one reply.
@@ -89,8 +90,6 @@ pub struct ServeConfig {
     pub port: u16,
     /// Maximum requests coalesced into one encoder forward.
     pub batch_size: usize,
-    /// How long a non-full batch waits for stragglers.
-    pub max_wait: Duration,
     /// Bound on queued (admitted, unserved) requests; beyond it new
     /// requests are answered `Overloaded`.
     pub queue_capacity: usize,
@@ -142,15 +141,14 @@ impl std::str::FromStr for QuantMode {
 }
 
 impl ServeConfig {
-    /// Defaults tuned for tiny models and tests: small batches, short
-    /// coalescing waits.
+    /// Defaults tuned for tiny models and tests: small batches, a bounded
+    /// queue, and a cache.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         Self {
             checkpoint_dir: checkpoint_dir.into(),
             host: "127.0.0.1".to_string(),
             port: 0,
             batch_size: 32,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 1024,
             cache_capacity: 4096,
             reply_timeout: Duration::from_secs(30),
@@ -1104,13 +1102,11 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
     }
     shared.metrics.cache_misses.inc();
 
-    let pending = Arc::new(Pending {
+    let mut pending = Arc::new(Pending {
         row_hash: hash,
         fields,
         trace_id,
-        // Queue wait starts here; the few hundred ns of lock acquisition
-        // below are queueing delay too.
-        enqueued_ns: shared.trace.now_ns(),
+        enqueued_ns: 0, // stamped at the push, under the queue lock
         slot: Mutex::new(PendingSlot { state: ReplyState::Waiting, ckpt_id: 0, emb: vec![0.0; dim] }),
         cv: Condvar::new(),
     });
@@ -1130,6 +1126,11 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
             end_admission();
             return Message::Overloaded { req_id };
         }
+        // Queue wait starts at the push and ends at the drain, both read
+        // under this lock: a request's wait spans exactly the batches
+        // drained after it was queued.
+        Arc::get_mut(&mut pending).expect("pending not yet shared").enqueued_ns =
+            shared.trace.now_ns();
         q.push_back(Arc::clone(&pending));
         shared.metrics.queue_depth.inc();
         shared.work_cv.notify_one();
@@ -1178,7 +1179,7 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
     loop {
         // Wait for work (or shutdown with an empty queue, which ends the
         // loop — anything still queued at shutdown is drained first).
-        {
+        let formed_start = {
             let mut q = shared.queue.lock().expect("serve queue mutex");
             loop {
                 if !q.is_empty() {
@@ -1204,33 +1205,17 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
                     q = shared.queue.lock().expect("serve queue mutex");
                 }
             }
-            // Coalesce: give stragglers up to `max_wait` to fill the batch
-            // (skipped during shutdown drain).
-            if q.len() < shared.cfg.batch_size && !shared.shutdown.load(Ordering::Acquire) {
-                let deadline = Instant::now() + shared.cfg.max_wait;
-                while q.len() < shared.cfg.batch_size && !shared.shutdown.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shared
-                        .work_cv
-                        .wait_timeout(q, deadline - now)
-                        .expect("serve queue mutex");
-                    q = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
+            // Work-conserving: encode whatever is queued now, never wait
+            // for stragglers. Under load the next batch is whatever arrived
+            // during this batch's forward.
             let n = q.len().min(shared.cfg.batch_size);
             batch.extend(q.drain(..n));
-        }
+            // Batch formation starts the moment the drain completes; each
+            // member's queue wait ends here too.
+            shared.trace.now_ns()
+        };
         let n = batch.len();
         shared.metrics.queue_depth.add(-(n as f64));
-        // Batch formation starts the moment the drain completes; each
-        // member's queue wait ends here too.
-        let formed_start = shared.trace.now_ns();
         for p in &batch {
             let wait = formed_start.saturating_sub(p.enqueued_ns);
             shared.trace.record(p.trace_id, ST_QUEUE_WAIT, p.enqueued_ns, wait);

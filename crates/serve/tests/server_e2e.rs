@@ -1,19 +1,22 @@
 //! End-to-end exercises of one live server over real sockets: embed
-//! round-trips against the offline path, cache behaviour, error replies,
-//! metrics exposition, and client-initiated shutdown.
+//! round-trips against the offline path, batching under backlog, cache
+//! behaviour, error replies, metrics exposition, and client-initiated
+//! shutdown.
 
 mod common;
 
-use common::{raw_rows, tiny_dataset, trained_model};
+use std::sync::{Arc, Mutex};
+
+use common::{metric, raw_rows, tiny_dataset, trained_model, wait_until, BatchGate};
 use fvae_core::checkpoint::export_model_snapshot;
+use fvae_core::{EncoderScratch, InputRows};
 use fvae_serve::protocol::error_code;
-use fvae_serve::{Client, EmbedOutcome, Message, ServeConfig, Server};
-use std::time::Duration;
+use fvae_serve::{BatchPhase, BatchProbe, Client, EmbedOutcome, Message, ServeConfig, Server};
+use fvae_tensor::Matrix;
 
 fn test_config(dir: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(dir);
     cfg.batch_size = 4;
-    cfg.max_wait = Duration::from_millis(1);
     cfg
 }
 
@@ -42,6 +45,81 @@ fn served_embeddings_match_offline_bit_for_bit() {
         }
     }
     drop(client);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Batching needs no timer: requests that queue while the batch thread is
+/// busy ride its next forward together. A backlog of K ≤ batch_size forms
+/// one K-row batch; a larger one splits into full batches plus the
+/// remainder. Every reply stays bit-identical to the offline encoder.
+#[test]
+fn backlog_coalesces_into_batches() {
+    let ds = tiny_dataset(16);
+    let model = trained_model(&ds, 1);
+    let dir = std::env::temp_dir().join(format!("fvae-serve-coalesce-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    export_model_snapshot(&dir, &model).expect("export");
+
+    let users: Vec<usize> = (0..ds.n_users()).collect();
+    let mut offline = Matrix::default();
+    let (mut input, mut scratch) = (InputRows::default(), EncoderScratch::default());
+    model.encoder().embed_users_into(&ds, &users, None, &mut input, &mut scratch, &mut offline);
+
+    // The probe logs each batch's row count, then runs the gate.
+    let gate = Arc::new(BatchGate::default());
+    let sizes = Arc::new(Mutex::new(Vec::new()));
+    let probe: BatchProbe = {
+        let (gate, sizes) = (Arc::clone(&gate), Arc::clone(&sizes));
+        Box::new(move |phase, n| {
+            if phase == BatchPhase::Start {
+                sizes.lock().unwrap().push(n);
+                gate.pass();
+            }
+        })
+    };
+    let mut cfg = test_config(&dir);
+    cfg.cache_capacity = 0; // every request crosses the batch loop
+    let batch = cfg.batch_size;
+    let server = Server::start_with_probe(cfg, Some(probe)).expect("start");
+    let (addr, n_fields, dim) = (server.addr(), server.n_fields(), server.latent_dim());
+    let embed = |u: usize| {
+        let rows = raw_rows(&ds, u, n_fields);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            (u, client.embed(&rows).expect("embed"))
+        })
+    };
+
+    let mut next_user = 0;
+    for k in [2usize, 3, 4, 6, 8] {
+        gate.arm();
+        sizes.lock().unwrap().clear();
+        // One request takes the batch thread into the gate...
+        let mut clients = vec![embed(next_user)];
+        wait_until("the batch thread to hold", || gate.holding());
+        // ...and k more queue up behind it.
+        clients.extend((1..=k).map(|i| embed(next_user + i)));
+        next_user += k + 1;
+        wait_until(&format!("a backlog of {k}"), || {
+            metric(&server.metrics_text(), "fvae_serve_queue_depth") == k as f64
+        });
+        gate.open();
+        for c in clients {
+            match c.join().expect("client thread") {
+                (u, EmbedOutcome::Embedding { values, .. }) => {
+                    assert_eq!(values.len(), dim);
+                    for (a, b) in values.iter().zip(offline.row(u)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "user {u}, backlog {k}");
+                    }
+                }
+                (u, other) => panic!("expected embedding for user {u}, got {other:?}"),
+            }
+        }
+        let mut expected = vec![1];
+        expected.extend((0..k).step_by(batch).map(|start| (k - start).min(batch)));
+        assert_eq!(*sizes.lock().unwrap(), expected, "batches for a backlog of {k}");
+    }
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,6 +8,10 @@
 //! and the per-stage histograms *inside* the measured window — so this is
 //! also the proof that tracing adds no allocations to the hot path.
 //!
+//! Overload is structural, not a race: a [`BatchGate`] holds each round's
+//! first batch until the queue is at capacity and a request has been shed
+//! behind it. The same hold makes the warm-up round form a full batch.
+//!
 //! This file holds one test: the global allocator hook and the global
 //! thread-pool warm-up make co-resident tests interfere.
 
@@ -19,7 +23,7 @@ use std::time::Duration;
 
 mod common;
 
-use common::{tiny_dataset, trained_model};
+use common::{metric, tiny_dataset, trained_model, wait_until, BatchGate};
 use fvae_core::checkpoint::export_model_snapshot;
 use fvae_serve::{BatchPhase, Client, EmbedOutcome, FieldRow, ServeConfig, Server};
 
@@ -84,10 +88,14 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
 
     // ARMED flips after the warm-up round; the probe then turns the
     // counting allocator on for exactly the Start..End window of every
-    // batch — the region the zero-allocation contract covers.
+    // batch — the region the zero-allocation contract covers. The gate
+    // holds the batch thread just before that window opens.
     static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-    let probe = Box::new(|phase: BatchPhase, _n: usize| match phase {
+    let gate = Arc::new(BatchGate::default());
+    let probe_gate = Arc::clone(&gate);
+    let probe = Box::new(move |phase: BatchPhase, _n: usize| match phase {
         BatchPhase::Start => {
+            probe_gate.pass();
             if ARMED.load(Relaxed) {
                 COUNTING.with(|f| f.set(true));
             }
@@ -97,8 +105,7 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
 
     let mut cfg = ServeConfig::new(&dir);
     cfg.batch_size = 4;
-    cfg.queue_capacity = 4; // K = 4 ≪ N = 240: overload is guaranteed
-    cfg.max_wait = Duration::from_millis(3);
+    cfg.queue_capacity = 4; // K = 4 ≪ N = 240 requests from 12 clients
     cfg.cache_capacity = 0; // every request must cross the batch loop
     cfg.reply_timeout = Duration::from_secs(20);
     let server = Server::start_with_probe(cfg, Some(probe)).expect("start");
@@ -108,6 +115,8 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
     let overloaded = Arc::new(AtomicU64::new(0));
 
     let run_round = |round: u64| {
+        let shed_before = overloaded.load(Relaxed);
+        gate.arm();
         let mut workers = Vec::new();
         for c in 0..CLIENTS {
             let ok = Arc::clone(&ok);
@@ -135,13 +144,22 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
                 client.ping(0xA11C + round).expect("stream aligned after soak");
             }));
         }
+        // One held batch plus a full queue occupy 5 of the 12 clients, so
+        // the rest must be shed: wait for that, then let the round drain.
+        wait_until("a full queue and a shed behind the held batch", || {
+            let text = server.metrics_text();
+            metric(&text, "fvae_serve_queue_depth") >= 4.0
+                && metric(&text, "fvae_serve_overloaded") > shed_before as f64
+        });
+        gate.open();
         for w in workers {
             w.join().expect("no client panics");
         }
     };
 
     // Round 1 (unmeasured): warms every buffer in the batch loop — the
-    // drain vector, InputRows nests, encoder scratch, pool shard state.
+    // drain vector, InputRows nests, encoder scratch, pool shard state —
+    // up to a full batch, which the gate's backlog guarantees.
     run_round(1);
     let (warm_ok, warm_over) = (ok.load(Relaxed), overloaded.load(Relaxed));
     assert_eq!(warm_ok + warm_over, N as u64, "exactly one reply per warm-up request");
@@ -162,15 +180,11 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
     // Cross-check the accounting server-side.
     let mut client = Client::connect(addr).expect("connect");
     let text = client.metrics().expect("metrics");
-    let metric = |name: &str| -> u64 {
-        text.lines()
-            .find_map(|l| l.strip_prefix(name).and_then(|r| r.trim().parse().ok()))
-            .unwrap_or_else(|| panic!("metric {name} missing in:\n{text}"))
-    };
-    assert_eq!(metric("fvae_serve_requests "), 2 * N as u64);
-    assert_eq!(metric("fvae_serve_replies_ok "), total_ok);
-    assert_eq!(metric("fvae_serve_overloaded "), total_over);
-    assert_eq!(metric("fvae_serve_errors "), 0);
+    let metric = |name: &str| metric(&text, name) as u64;
+    assert_eq!(metric("fvae_serve_requests"), 2 * N as u64);
+    assert_eq!(metric("fvae_serve_replies_ok"), total_ok);
+    assert_eq!(metric("fvae_serve_overloaded"), total_over);
+    assert_eq!(metric("fvae_serve_errors"), 0);
     // The always-on tracing the alloc audit just covered actually traced.
     assert!(!server.trace_events().is_empty(), "trace ring recorded the soak");
     assert!(
